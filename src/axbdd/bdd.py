@@ -2,9 +2,15 @@
 
 A :class:`BddManager` owns a shared node store over a fixed variable
 order and hands out :class:`NodeRef` handles.  Structurally identical
-functions always map to the identical handle, so equivalence checking
-is pointer comparison, satisfiability is a terminal test, and model
-counting is one linear pass over the DAG.
+functions always map to the identical live handle, so equivalence
+checking is pointer comparison, satisfiability is a terminal test, and
+model counting is one linear pass over the DAG.
+
+Nodes are plain integers inside the manager; a handle is made only when
+the API returns a node, and is interned in a weak table.  A handle
+keeps its manager alive, but a manager does not keep its handles alive,
+so there is no reference cycle: a manager is freed by reference
+counting as soon as its last handle and its last other owner are gone.
 
 The manager keeps a monotone counter of created nodes (terminals
 excluded) so callers can attribute node construction to phases of a
@@ -13,6 +19,7 @@ larger computation.
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 
 
@@ -76,12 +83,15 @@ _DIAG = {op: _unary_kind(t[0], t[3]) for op, t in _TABLES.items()}
 class NodeRef:
     """Opaque handle to one canonical node of a :class:`BddManager`.
 
-    Handles are interned: building the same function twice yields the
-    identical object, so ``a is b`` and ``a == b`` both decide
-    functional equivalence within one manager.
+    Handles are interned while alive: building the same function twice
+    yields the identical object, so ``a is b`` and ``a == b`` both
+    decide functional equivalence within one manager.  A handle holds
+    its manager strongly, so ``handle.manager`` stays usable after every
+    other owner of the manager is gone; the manager holds its handles
+    only weakly.
     """
 
-    __slots__ = ("manager", "index")
+    __slots__ = ("manager", "index", "__weakref__")
 
     def __init__(self, manager: "BddManager", index: int):
         self.manager = manager
@@ -144,9 +154,20 @@ class BddManager:
         self._count_cache: dict[int, int] = {0: 0, 1: 1}
         self._count2_cache: dict[tuple[int, int, int], int] = {}
         self._created = 0
-        self._refs = [NodeRef(self, 0), NodeRef(self, 1)]
-        self.false = self._refs[0]
-        self.true = self._refs[1]
+        # Node index -> its live handle; an entry goes when its handle dies.
+        self._handles: weakref.WeakValueDictionary[int, NodeRef] = (
+            weakref.WeakValueDictionary()
+        )
+
+    @property
+    def false(self) -> NodeRef:
+        """The constant-false function."""
+        return self._ref(0)
+
+    @property
+    def true(self) -> NodeRef:
+        """The constant-true function."""
+        return self._ref(1)
 
     # -- node construction -------------------------------------------------
 
@@ -157,7 +178,7 @@ class BddManager:
                 f"variable index {index} out of range "
                 f"(manager has {self.var_count} variables)"
             )
-        return self._refs[self._mk(index, 0, 1)]
+        return self._ref(self._mk(index, 0, 1))
 
     def apply(self, op: str, a: NodeRef, b: NodeRef) -> NodeRef:
         """Combine two functions.
@@ -169,11 +190,11 @@ class BddManager:
             code = _OP_CODES[op.lower()]
         except (KeyError, AttributeError):
             raise BddError(f"unknown operation {op!r}") from None
-        return self._refs[self._apply(code, self._unwrap(a), self._unwrap(b))]
+        return self._ref(self._apply(code, self._unwrap(a), self._unwrap(b)))
 
     def not_(self, a: NodeRef) -> NodeRef:
         """Complement of a function."""
-        return self._refs[self._not(self._unwrap(a))]
+        return self._ref(self._not(self._unwrap(a)))
 
     # -- queries ------------------------------------------------------------
 
@@ -245,13 +266,21 @@ class BddManager:
         return len(self._level) - 2
 
     def clear_caches(self) -> None:
-        """Drop the operation caches (the node store is untouched)."""
+        """Drop the operation and count caches (the node store is untouched)."""
         self._apply_cache.clear()
         if self._apply_slots is not None:
             self._apply_slots = [None] * self._cache_capacity
         self._not_cache.clear()
+        self._count_cache = {0: 0, 1: 1}
+        self._count2_cache.clear()
 
     # -- internals ------------------------------------------------------------
+
+    def _ref(self, u: int) -> NodeRef:
+        ref = self._handles.get(u)
+        if ref is None:
+            ref = self._handles[u] = NodeRef(self, u)
+        return ref
 
     def _unwrap(self, ref) -> int:
         if type(ref) is not NodeRef or ref.manager is not self:
@@ -269,7 +298,6 @@ class BddManager:
             self._low.append(low)
             self._high.append(high)
             self._unique[key] = u
-            self._refs.append(NodeRef(self, u))
             self._created += 1
         return u
 

@@ -24,7 +24,7 @@ from .adders import ADDER_KINDS, gen_adder, mutate
 from .bdd import BddManager
 from .bitvec import compile_circuit, subtract
 from .circuit import Circuit, emit, parse
-from .search import SearchConfig, run_search
+from .search import SearchConfig, _error_fields, run_search
 
 #: Exact column order of the records CSV.
 CSV_COLUMNS = (
@@ -142,12 +142,6 @@ class CorpusSpec:
             return cls.from_dict(json.load(fh))
 
 
-def _result_fields(value, input_count: int) -> tuple[int, int]:
-    if isinstance(value, Fraction):
-        return int(value * (1 << input_count)), input_count
-    return int(value), 0
-
-
 def _evaluate_once(
     golden: Circuit,
     approx: Circuit,
@@ -158,11 +152,12 @@ def _evaluate_once(
     """One fresh-manager evaluation; returns timings, node counts, result.
 
     Garbage collection is paused for the timed section so allocator
-    pauses do not land on random phases.
+    pauses do not land on random phases.  No collection is forced
+    beforehand: earlier managers were already freed by reference
+    counting when their last handle went.
     """
     manager = BddManager(golden.input_count, cache_capacity=cache_capacity)
     was_enabled = gc.isenabled()
-    gc.collect()
     gc.disable()
     try:
         t0 = time.perf_counter_ns()
@@ -219,7 +214,7 @@ def _run_task(task: dict) -> dict:
     except Exception as exc:  # per-record failures must not stop the run
         record["error"] = f"{type(exc).__name__}: {exc}"
         return record
-    num, den_exp = _result_fields(measured.pop("value"), golden.input_count)
+    num, den_exp = _error_fields(measured.pop("value"), golden.input_count)
     record.update(measured)
     record["result_num"] = num
     record["result_den_exp"] = den_exp
@@ -410,25 +405,6 @@ def summarize(records: list[BenchRecord]) -> list[SummaryRow]:
             )
         )
     return rows
-
-
-def write_summary_csv(rows: list[SummaryRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        names = [f.name for f in SummaryRow.__dataclass_fields__.values()]
-        writer.writerow(names)
-        for row in rows:
-            writer.writerow([getattr(row, n) for n in names])
-
-
-#: Reference 16-bit speedups measured for the original C++ implementation
-#: of these algorithms (ones' / noabs vs baseline).
-REFERENCE_SPEEDUPS_16BIT = {
-    (metrics.MAE, metrics.ONES): 3.47,
-    (metrics.MAE, metrics.NOABS): 2.55,
-    (metrics.WCE, metrics.ONES): 3.33,
-    (metrics.WCE, metrics.NOABS): 4.20,
-}
 
 
 def format_summary(rows: list[SummaryRow], records: list[BenchRecord]) -> str:

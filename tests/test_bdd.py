@@ -1,9 +1,19 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from axbdd import BddError, BddManager
+from axbdd import (
+    BddError,
+    BddManager,
+    evaluate_error,
+    gen_adder,
+    int_value,
+    mutate,
+    simulate,
+)
 
 from conftest import all_assignments
 
@@ -211,8 +221,12 @@ def test_cache_capacity_validation():
 def test_clear_caches_keeps_results():
     m = BddManager(4)
     a = m.apply("xor", m.var(0), m.var(1))
+    b = m.apply("or", m.var(1), m.var(2))
+    counts = (m.sat_count(a), m.sat_count_and(a, b))
     m.clear_caches()
+    assert m._count_cache == {0: 0, 1: 1} and not m._count2_cache
     assert m.apply("xor", m.var(0), m.var(1)) is a
+    assert (m.sat_count(a), m.sat_count_and(a, b)) == counts == (8, 6)
 
 
 def test_pick_assignment():
@@ -237,3 +251,51 @@ def test_operator_sugar():
     assert (x | y) is m.apply("or", x, y)
     assert (x ^ y) is m.apply("xor", x, y)
     assert ~x is m.not_(x)
+
+
+# -- lifetimes: managers are freed by reference counting alone ---------------
+
+
+@pytest.fixture
+def gc_disabled():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _wce_result():
+    golden = gen_adder("rca", 4)
+    approx = mutate(golden, 3, 3)
+    return golden, approx, evaluate_error(golden, approx, "wce")
+
+
+def test_dropped_result_frees_its_manager(gc_disabled):
+    _, _, result = _wce_result()
+    manager = weakref.ref(result.witness.manager)
+    del result
+    assert manager() is None
+
+
+def test_held_witness_keeps_its_manager(gc_disabled):
+    golden, approx, result = _wce_result()
+    witness, wce = result.witness, result.value
+    del result
+    point = witness.manager.pick_assignment(witness)
+    error = int_value(simulate(golden, point)) - int_value(simulate(approx, point))
+    assert wce > 0 and abs(error) == wce
+
+
+def test_intern_table_holds_only_live_handles(gc_disabled):
+    m = BddManager(6)
+    rng = random.Random(13)
+    kept = [m.var(i) for i in range(6)]
+    for _ in range(200):
+        pool = random_formula_pool(m, rng, extra=20)
+        kept.append(pool[-1][0])
+        del pool
+    live = {id(h) for h in kept}
+    assert len(m._handles) == len(live) < m.node_count

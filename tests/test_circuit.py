@@ -13,6 +13,7 @@ from axbdd import (
     bits_to_int,
     check_interface,
     emit,
+    evaluate_error,
     gen_adder,
     int_value,
     mutate,
@@ -247,6 +248,19 @@ def test_oracle_signed_circuits():
         Fraction(abs_sum, 1 << n),
         Fraction(diff, 1 << n),
     )
+
+
+def test_oracle_sums_wide_outputs_exactly():
+    # 50-bit differences over 2^18-row chunks sum past int64.
+    inputs = tuple(f"i{k}" for k in range(20))
+    outputs = tuple(f"o{k}" for k in range(50))
+    ones, zeros = (
+        Circuit(op, inputs, outputs, tuple(Gate(op, (), o) for o in outputs))
+        for op in ("CONST1", "CONST0")
+    )
+    top = (1 << 50) - 1
+    assert oracle_metrics(ones, zeros) == (top, Fraction(top), Fraction(1))
+    assert evaluate_error(ones, zeros, "mae").value == top
 
 
 def test_oracle_limit():
