@@ -36,8 +36,7 @@ GATE_ARITY = {
 #: Largest input count the exhaustive oracle will enumerate by default.
 DEFAULT_ORACLE_LIMIT = 24
 
-_ORACLE_CHUNK_BITS = 18
-_ORACLE_CHUNK = 1 << _ORACLE_CHUNK_BITS
+_ORACLE_CHUNK = 1 << 18
 
 
 class NetlistError(ValueError):
@@ -382,10 +381,6 @@ def oracle_metrics(
             f"{n} inputs exceed the oracle limit of {limit}"
         )
     total = 1 << n
-    # Every |difference| is below 2^m, so a chunk sums below
-    # 2^(m + chunk bits).  Where that overflows int64, the low and high
-    # 32-bit halves of the differences are summed separately.
-    split = f.output_count + _ORACLE_CHUNK_BITS > 63
     wce = 0
     abs_sum = 0
     diff_count = 0
@@ -394,9 +389,9 @@ def oracle_metrics(
         idx = np.arange(start, stop, dtype=np.uint64)
         diff = np.abs(_batch_values(f, idx) - _batch_values(fp, idx))
         wce = max(wce, int(diff.max()))
-        if split:
-            abs_sum += (int((diff >> 32).sum()) << 32) + int((diff & 0xFFFFFFFF).sum())
-        else:
-            abs_sum += int(diff.sum(dtype=np.int64))
+        # A chunk of m-bit differences can sum past int64, so the high
+        # and low 32-bit halves are summed separately.
+        high = int((diff >> 32).sum())
+        abs_sum += (high << 32) + int((diff & 0xFFFFFFFF).sum())
         diff_count += int(np.count_nonzero(diff))
     return wce, Fraction(abs_sum, total), Fraction(diff_count, total)
