@@ -15,10 +15,16 @@ counting as soon as its last handle and its last other owner are gone.
 The manager keeps a monotone counter of created nodes (terminals
 excluded) so callers can attribute node construction to phases of a
 larger computation.
+
+Operations and model counts recurse once per variable level.  Where
+that would pass Python's recursion limit, the public entry point raises
+:class:`BddError` instead; the limit itself is left alone.
 """
 
 from __future__ import annotations
 
+import functools
+import sys
 import weakref
 from fractions import Fraction
 
@@ -78,6 +84,22 @@ _RIGHT = {
     for op, t in _TABLES.items()
 }
 _DIAG = {op: _unary_kind(t[0], t[3]) for op, t in _TABLES.items()}
+
+
+def _depth_guarded(method):
+    """Report a recursion too deep for the interpreter as a :class:`BddError`."""
+
+    @functools.wraps(method)
+    def guarded(self, *args):
+        try:
+            return method(self, *args)
+        except RecursionError:
+            raise BddError(
+                f"BDD over {self.var_count} variables recurses past Python's "
+                f"recursion limit ({sys.getrecursionlimit()})"
+            ) from None
+
+    return guarded
 
 
 class NodeRef:
@@ -180,6 +202,7 @@ class BddManager:
             )
         return self._ref(self._mk(index, 0, 1))
 
+    @_depth_guarded
     def apply(self, op: str, a: NodeRef, b: NodeRef) -> NodeRef:
         """Combine two functions.
 
@@ -192,6 +215,7 @@ class BddManager:
             raise BddError(f"unknown operation {op!r}") from None
         return self._ref(self._apply(code, self._unwrap(a), self._unwrap(b)))
 
+    @_depth_guarded
     def not_(self, a: NodeRef) -> NodeRef:
         """Complement of a function."""
         return self._ref(self._not(self._unwrap(a)))
@@ -202,6 +226,7 @@ class BddManager:
         """Whether any input vector makes the function true."""
         return self._unwrap(a) != 0
 
+    @_depth_guarded
     def sat_count(self, a: NodeRef) -> int:
         """Number of satisfying assignments over all manager variables."""
         u = self._unwrap(a)
@@ -211,6 +236,7 @@ class BddManager:
         """Exact probability that a uniformly random assignment satisfies ``a``."""
         return Fraction(self.sat_count(a), 1 << self.var_count)
 
+    @_depth_guarded
     def sat_count_and(self, a: NodeRef, b: NodeRef) -> int:
         """Model count of ``a AND b`` without materializing the conjunction.
 
@@ -219,6 +245,7 @@ class BddManager:
         """
         return self._count_pair(_AND, self._unwrap(a), self._unwrap(b))
 
+    @_depth_guarded
     def sat_count_andnot(self, a: NodeRef, b: NodeRef) -> int:
         """Model count of ``a AND NOT b`` without materializing it."""
         return self._count_pair(_ANDNOT, self._unwrap(a), self._unwrap(b))

@@ -24,7 +24,7 @@ from .adders import ADDER_KINDS, gen_adder, mutate
 from .bdd import BddManager
 from .bitvec import compile_circuit, subtract
 from .circuit import Circuit, emit, parse
-from .search import SearchConfig, _error_fields, run_search
+from .search import SearchConfig, _error_fields, range_threshold, run_search
 
 #: Exact column order of the records CSV.
 CSV_COLUMNS = (
@@ -233,7 +233,8 @@ def _evolved_parents(golden: Circuit, spec: CorpusSpec, seed: int) -> list[Circu
     (2 edits, the search default); heavy mutation belongs to the
     measured candidates only.
     """
-    tau = int(spec.evolve_tau_range * ((1 << golden.output_count) - 1))
+    # str() keeps the decimal the spec gives (0.6 is 3/5, not its binary float).
+    tau = range_threshold(golden, str(spec.evolve_tau_range))
 
     def segment(generations, start, rng_seed):
         cfg = SearchConfig(

@@ -3,6 +3,10 @@
 A word is a vector of BDD nodes, least significant bit first.  Circuits
 compile into words; subtracting the words of two circuits yields the
 signed difference function every error metric is computed on.
+
+:func:`add` and :func:`subtract` share one ripple-carry cell,
+:func:`_ripple`; subtraction is the same cell with the second operand
+inverted inside its operations and the carry input set.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bdd import BddError, BddManager, NodeRef
-from .circuit import Circuit
+from .circuit import Circuit, bits_to_int
 
 
 @dataclass(frozen=True)
@@ -81,11 +85,32 @@ def extend(word: BddWord, width: int) -> BddWord:
     return BddWord(word.bits + (pad,) * (width - word.width), word.signed)
 
 
-def _check_operands(a: BddWord, b: BddWord) -> None:
+def _ripple(
+    a: BddWord, b: BddWord, half: str, generate: str, carry_in: bool, signed: bool
+) -> BddWord:
+    """Ripple-carry word one bit wider than the wider operand.
+
+    Bit i is ``h XOR carry`` with ``h = half(a_i, b_i)``; the next carry
+    is ``generate(a_i, b_i) OR (h AND carry)``.  The last carry is dropped.
+    """
     if a.manager is not b.manager:
         raise BddError("words belong to different managers")
     if a.signed != b.signed:
         raise ValueError("cannot mix signed and unsigned words")
+    width = max(a.width, b.width) + 1
+    a = extend(a, width)
+    b = extend(b, width)
+    manager = a.manager
+    apply = manager.apply
+    carry = manager.true if carry_in else manager.false
+    bits = []
+    for i in range(width):
+        abit, bbit = a.bits[i], b.bits[i]
+        h = apply(half, abit, bbit)
+        bits.append(apply("xor", h, carry))
+        if i + 1 < width:
+            carry = apply("or", apply(generate, abit, bbit), apply("and", h, carry))
+    return BddWord(tuple(bits), signed)
 
 
 def add(a: BddWord, b: BddWord) -> BddWord:
@@ -94,62 +119,20 @@ def add(a: BddWord, b: BddWord) -> BddWord:
     The extra bit absorbs the carry, so the integer value is exact for
     every assignment.
     """
-    _check_operands(a, b)
-    width = max(a.width, b.width) + 1
-    a = extend(a, width)
-    b = extend(b, width)
-    manager = a.manager
-    carry = manager.false
-    bits = []
-    for i in range(width):
-        abit, bbit = a.bits[i], b.bits[i]
-        axb = manager.apply("xor", abit, bbit)
-        bits.append(manager.apply("xor", axb, carry))
-        if i + 1 < width:
-            carry = manager.apply(
-                "or",
-                manager.apply("and", abit, bbit),
-                manager.apply("and", axb, carry),
-            )
-    return BddWord(tuple(bits), a.signed)
+    return _ripple(a, b, "xor", "and", False, a.signed)
 
 
 def subtract(a: BddWord, b: BddWord) -> BddWord:
     """Ripple-carry difference as a signed word, one bit wider than the operands.
 
-    Built like the adder with the second operand inverted and the carry
-    input set; the inversion is fused into the cell operations (XNOR and
-    and-not) so no complement copies are materialized.  Operands are
-    (sign-)extended first so the result can never overflow; the final
-    carry out is discarded.
+    The adder cell with the second operand inverted, fused into its
+    operations (XNOR and and-not) so no complement copy is built, and
+    the carry input set.  The extra bit means it can never overflow.
     """
-    _check_operands(a, b)
-    width = max(a.width, b.width) + 1
-    a = extend(a, width)
-    b = extend(b, width)
-    manager = a.manager
-    carry = manager.true
-    bits = []
-    for i in range(width):
-        abit, bbit = a.bits[i], b.bits[i]
-        axnb = manager.apply("xnor", abit, bbit)
-        bits.append(manager.apply("xor", axnb, carry))
-        if i + 1 < width:
-            carry = manager.apply(
-                "or",
-                manager.apply("andnot", abit, bbit),
-                manager.apply("and", axnb, carry),
-            )
-    return BddWord(tuple(bits), True)
+    return _ripple(a, b, "xnor", "andnot", True, True)
 
 
 def word_value(word: BddWord, assignment) -> int:
     """Integer value of a word under one full assignment."""
-    manager = word.manager
-    value = 0
-    for i, bit in enumerate(word.bits):
-        if manager.evaluate(bit, assignment):
-            value |= 1 << i
-    if word.signed and value >> (word.width - 1):
-        value -= 1 << word.width
-    return value
+    evaluate = word.manager.evaluate
+    return bits_to_int([evaluate(bit, assignment) for bit in word.bits], word.signed)

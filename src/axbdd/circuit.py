@@ -11,6 +11,10 @@ The text format is line oriented (``#`` starts a comment)::
 
 ``CONST0``/``CONST1`` take no inputs, ``BUF``/``NOT`` one, all other
 gates two.  Gates must appear in topological order, one per line.
+
+:func:`parse` checks the syntax (directives, token shape, ``.inputs``
+before gates) and :class:`Circuit` the wires (arity, definition order,
+duplicates, outputs); a parse error names its line wherever it has one.
 """
 
 from __future__ import annotations
@@ -40,13 +44,20 @@ _ORACLE_CHUNK = 1 << 18
 
 
 class NetlistError(ValueError):
-    """Malformed netlist text or an ill-formed circuit."""
+    """Malformed netlist text or an ill-formed circuit.
 
-    def __init__(self, message: str, line: int | None = None):
+    ``line`` (source line) and ``gate`` (index into ``Circuit.gates``)
+    locate the fault, or are ``None`` where it has no such place.
+    """
+
+    def __init__(
+        self, message: str, line: int | None = None, gate: int | None = None
+    ):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+        self.gate = gate
 
 
 class InterfaceMismatchError(ValueError):
@@ -74,7 +85,11 @@ class OutputWord:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Immutable combinational gate DAG with an ordered I/O interface."""
+    """Immutable combinational gate DAG with an ordered I/O interface.
+
+    Construction checks every wire in one pass; a faulty gate raises a
+    :class:`NetlistError` whose ``gate`` is the gate's position.
+    """
 
     name: str
     inputs: tuple[str, ...]
@@ -92,21 +107,25 @@ class Circuit:
             if w in defined:
                 raise NetlistError(f"duplicate input {w!r}")
             defined.add(w)
-        for g in self.gates:
+        for i, g in enumerate(self.gates):
             arity = GATE_ARITY.get(g.op)
             if arity is None:
-                raise NetlistError(f"unknown gate operation {g.op!r}")
+                raise NetlistError(f"unknown gate operation {g.op!r}", gate=i)
             if len(g.inputs) != arity:
                 raise NetlistError(
-                    f"{g.op} takes {arity} input(s), gate {g.out!r} has {len(g.inputs)}"
+                    f"{g.op} takes {arity} input(s), got {len(g.inputs)}", gate=i
                 )
             for w in g.inputs:
                 if w not in defined:
-                    raise NetlistError(
-                        f"gate {g.out!r} reads {w!r} before it is defined"
-                    )
+                    if any(h.out == w for h in self.gates[i:]):
+                        raise NetlistError(
+                            f"wire {w!r} used before its definition "
+                            "(cycle or gates out of topological order)",
+                            gate=i,
+                        )
+                    raise NetlistError(f"undefined wire {w!r}", gate=i)
             if g.out in defined:
-                raise NetlistError(f"duplicate definition of wire {g.out!r}")
+                raise NetlistError(f"duplicate definition of wire {g.out!r}", gate=i)
             defined.add(g.out)
         for w in self.outputs:
             if w not in defined:
@@ -143,7 +162,8 @@ def parse(text: str) -> Circuit:
     inputs: list[str] | None = None
     outputs: list[str] | None = None
     signed = False
-    gates: list[tuple[int, Gate]] = []
+    gates: list[Gate] = []
+    gate_lines: list[int] = []
     ended = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -181,16 +201,8 @@ def parse(text: str) -> Circuit:
                 raise NetlistError(
                     "expected .gate <OP> <in...> -> <out>", lineno
                 )
-            op = tokens[1]
-            arity = GATE_ARITY.get(op)
-            if arity is None:
-                raise NetlistError(f"unknown gate operation {op!r}", lineno)
-            gate_inputs = tuple(tokens[2:-2])
-            if len(gate_inputs) != arity:
-                raise NetlistError(
-                    f"{op} takes {arity} input(s), got {len(gate_inputs)}", lineno
-                )
-            gates.append((lineno, Gate(op, gate_inputs, tokens[-1])))
+            gates.append(Gate(tokens[1], tuple(tokens[2:-2]), tokens[-1]))
+            gate_lines.append(lineno)
         elif head == ".end":
             ended = True
         else:
@@ -205,40 +217,12 @@ def parse(text: str) -> Circuit:
     if outputs is None:
         raise NetlistError("missing .outputs")
 
-    # Wire-level validation with line diagnostics.  Use-before-definition
-    # of a wire defined further down is an ordering/cycle error, distinct
-    # from a wire that is never defined at all.
-    defined_at: dict[str, int] = {}
-    for i, w in enumerate(inputs):
-        if w in defined_at:
-            raise NetlistError(f"duplicate input {w!r}")
-        defined_at[w] = 0
-    for lineno, g in gates:
-        if g.out in defined_at:
-            raise NetlistError(f"duplicate definition of wire {g.out!r}", lineno)
-        defined_at[g.out] = lineno
-    for lineno, g in gates:
-        for w in g.inputs:
-            at = defined_at.get(w)
-            if at is None:
-                raise NetlistError(f"undefined wire {w!r}", lineno)
-            if at >= lineno:
-                raise NetlistError(
-                    f"wire {w!r} used before its definition "
-                    "(cycle or gates out of topological order)",
-                    lineno,
-                )
-    for w in outputs:
-        if w not in defined_at:
-            raise NetlistError(f"output wire {w!r} is never defined")
-
-    return Circuit(
-        name=name,
-        inputs=tuple(inputs),
-        outputs=tuple(outputs),
-        gates=tuple(g for _, g in gates),
-        signed=signed,
-    )
+    try:
+        return Circuit(name, tuple(inputs), tuple(outputs), tuple(gates), signed)
+    except NetlistError as exc:
+        if exc.gate is None:
+            raise
+        raise NetlistError(str(exc), gate_lines[exc.gate], exc.gate) from None
 
 
 def parse_file(path) -> Circuit:

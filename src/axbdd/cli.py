@@ -5,8 +5,9 @@ pair), ``verify`` (all algorithms plus the enumeration oracle must
 agree), ``bench`` (corpus timing), ``search`` (threshold-constrained
 approximation).
 
-Exit codes: 0 ok, 2 usage, 3 interface mismatch, 4 oracle limit,
-5 verification failure.
+Exit codes: 0 ok, 2 usage or bad input (a malformed netlist, or BDDs too
+deep for Python's recursion limit), 3 interface mismatch, 4 oracle
+limit, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from fractions import Fraction
 from . import bench as bench_mod
 from . import metrics
 from .adders import ADDER_KINDS, gen_adder
-from .bdd import BddManager
-from .bitvec import compile_circuit, subtract
+from .bdd import BddError, BddManager
 from .circuit import (
     DEFAULT_ORACLE_LIMIT,
     InterfaceMismatchError,
@@ -102,15 +102,14 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     golden, approx = _load_pair(args)
+    # One shared manager: after the first call, compile and subtract hit the cache.
     manager = BddManager(golden.input_count)
-    f_word = compile_circuit(manager, golden)
-    fp_word = compile_circuit(manager, approx)
-    eps = subtract(f_word, fp_word)
-
     results = {}
     for metric in (metrics.WCE, metrics.MAE):
         for algo in metrics.ALGORITHMS:
-            results[(metric, algo)] = metrics.compute(eps, metric, algo).value
+            results[(metric, algo)] = metrics.evaluate_error(
+                golden, approx, metric, algo, manager
+            ).value
     oracle = None
     if golden.input_count <= args.max_oracle_bits:
         wce, mae, _ = oracle_metrics(golden, approx, limit=args.max_oracle_bits)
@@ -299,7 +298,7 @@ def main(argv=None) -> int:
     except OracleLimitError as exc:
         print(f"oracle limit: {exc}", file=sys.stderr)
         return EXIT_ORACLE
-    except (NetlistError, ValueError, OSError) as exc:
+    except (NetlistError, BddError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:

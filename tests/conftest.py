@@ -76,3 +76,12 @@ HALF_ADDER_TEXT = """\
 .gate AND a b -> s1
 .end
 """
+
+
+def xor_chain_text(n):
+    """Netlist of the XOR of ``n`` inputs, folded left to right."""
+    lines = [".model xor_chain", ".inputs " + " ".join(f"x{i}" for i in range(n))]
+    lines.append(f".outputs t{n - 1}")
+    lines.append(".gate BUF x0 -> t0")
+    lines += [f".gate XOR t{i - 1} x{i} -> t{i}" for i in range(1, n)]
+    return "\n".join(lines + [".end"]) + "\n"

@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 import weakref
 from fractions import Fraction
 
@@ -8,14 +9,16 @@ import pytest
 from axbdd import (
     BddError,
     BddManager,
+    compile_circuit,
     evaluate_error,
     gen_adder,
     int_value,
     mutate,
+    parse,
     simulate,
 )
 
-from conftest import all_assignments
+from conftest import all_assignments, xor_chain_text
 
 OPS = ("and", "or", "xor", "nand", "nor", "xnor")
 
@@ -299,3 +302,37 @@ def test_intern_table_holds_only_live_handles(gc_disabled):
         del pool
     live = {id(h) for h in kept}
     assert len(m._handles) == len(live) < m.node_count
+
+
+# -- recursion depth -----------------------------------------------------------
+
+DEEP = sys.getrecursionlimit() + 100
+
+# Each call recurses once per level through an AND or OR over all DEEP
+# variables.
+DEEP_CALLS = {
+    "apply": lambda m, conj, disj: m.apply("xor", conj, disj),
+    "not_": lambda m, conj, disj: m.not_(conj),
+    "sat_count": lambda m, conj, disj: m.sat_count(conj),
+    "sat_prob": lambda m, conj, disj: m.sat_prob(conj),
+    "sat_count_and": lambda m, conj, disj: m.sat_count_and(conj, disj),
+    "sat_count_andnot": lambda m, conj, disj: m.sat_count_andnot(disj, conj),
+}
+
+
+@pytest.mark.parametrize("entry", DEEP_CALLS)
+def test_recursion_past_the_limit_is_a_bdd_error(entry):
+    m = BddManager(DEEP)
+    # Built from the bottom variable up, so no step recurses deeply.
+    conj = disj = m.var(DEEP - 1)
+    for i in reversed(range(DEEP - 1)):
+        conj, disj = m.var(i) & conj, m.var(i) | disj
+    with pytest.raises(BddError, match=f"{DEEP} variables .* recursion limit"):
+        DEEP_CALLS[entry](m, conj, disj)
+    assert m.sat_count(m.var(0)) == 1 << (DEEP - 1)
+
+
+def test_deep_xor_chain_is_a_bdd_error():
+    circuit = parse(xor_chain_text(DEEP))
+    with pytest.raises(BddError, match="recursion limit"):
+        compile_circuit(BddManager(DEEP), circuit)

@@ -102,12 +102,36 @@ def test_rca8_simulation_matches_integer_addition():
 # -- parser diagnostics ----------------------------------------------------
 
 
-def test_undefined_wire_names_wire_and_line():
-    text = ".model t\n.inputs a\n.outputs o\n.gate BUF q7 -> o\n.end\n"
+# Each fault sits in the second gate (line 5 of the netlist text), after a
+# well-formed gate that defines ``n``.
+GATE_FAULTS = {
+    "unknown-op": (
+        (Gate("MAJ3", ("a", "a", "a"), "o"),),
+        "unknown gate operation 'MAJ3'",
+    ),
+    "arity": ((Gate("AND", ("a",), "o"),), "AND takes 2 input(s), got 1"),
+    "undefined-wire": ((Gate("BUF", ("q7",), "o"),), "undefined wire 'q7'"),
+    "use-before-definition": (
+        (Gate("BUF", ("w",), "o"), Gate("BUF", ("a",), "w")),
+        "wire 'w' used before its definition",
+    ),
+    "duplicate-definition": (
+        (Gate("BUF", ("a",), "n"), Gate("BUF", ("n",), "o")),
+        "duplicate definition of wire 'n'",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", GATE_FAULTS)
+def test_gate_fault_names_its_line(fault):
+    gates, message = GATE_FAULTS[fault]
+    text = ".model t\n.inputs a\n.outputs o\n.gate NOT a -> n\n" + "".join(
+        f".gate {' '.join([g.op, *g.inputs, '->', g.out])}\n" for g in gates
+    )
     with pytest.raises(NetlistError) as exc:
-        parse(text)
-    assert "q7" in str(exc.value)
-    assert "line 4" in str(exc.value)
+        parse(text + ".end\n")
+    assert str(exc.value).startswith(f"line 5: {message}")
+    assert exc.value.line == 5
 
 
 def test_use_before_definition_is_an_ordering_error():
@@ -185,6 +209,11 @@ def test_circuit_validation_rejects_bad_constructions():
         Circuit("t", ("a",), ("o",), (Gate("BUF", ("missing",), "o"),))
     with pytest.raises(NetlistError):
         Circuit("t", ("a", "a"), ("a",), ())
+    for gates, message in GATE_FAULTS.values():
+        with pytest.raises(NetlistError) as exc:
+            Circuit("t", ("a",), ("o",), (Gate("NOT", ("a",), "n"), *gates))
+        assert str(exc.value).startswith(message)
+        assert exc.value.gate == 1 and exc.value.line is None
 
 
 def test_active_gate_count():

@@ -7,7 +7,7 @@ import pytest
 from axbdd import gen_adder, emit, oracle_metrics, parse, parse_file
 from axbdd.cli import main
 
-from conftest import HALF_ADDER_TEXT
+from conftest import HALF_ADDER_TEXT, xor_chain_text
 
 
 def run_cli(argv):
@@ -325,3 +325,10 @@ def test_console_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert ".model rca2u" in result.stdout
+
+
+def test_eval_too_deep_for_recursion_exits_2(tmp_path, capsys):
+    chain = tmp_path / "chain.net"
+    chain.write_text(xor_chain_text(sys.getrecursionlimit() + 100))
+    assert run_cli(["eval", "--golden", str(chain), "--approx", str(chain)]) == 2
+    assert "recursion limit" in capsys.readouterr().err
