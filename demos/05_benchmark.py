@@ -10,6 +10,9 @@ largest share of its time in the calculating phase.
 Runs a couple of minutes at 12 bits; bump bits/mutants for more signal.
 """
 
+import os
+import tempfile
+
 from axbdd import CorpusSpec, run_corpus, summarize
 from axbdd.bench import format_summary, write_records_csv
 
@@ -28,8 +31,9 @@ spec = CorpusSpec(
 records = run_corpus(spec)
 print(format_summary(summarize(records), records))
 
-write_records_csv(records, "bench_records.csv")
-print(f"\n{len(records)} records written to bench_records.csv")
+path = os.path.join(tempfile.mkdtemp(), "bench_records.csv")
+write_records_csv(records, path)
+print(f"\n{len(records)} records written to {path}")
 print("every (pair, metric) result is identical across the three algorithms:")
 by_pair = {}
 for r in records:

@@ -12,8 +12,10 @@ keeps its manager alive, but a manager does not keep its handles alive,
 so there is no reference cycle: a manager is freed by reference
 counting as soon as its last handle and its last other owner are gone.
 
-The manager keeps a monotone counter of created nodes (terminals
-excluded) so callers can attribute node construction to phases of a
+Each node is kept once, as the ``(level, low, high)`` tuple that also
+keys it in the unique table.  The store is append-only, so the number
+of nodes created since any point (terminals excluded) is read off its
+length; callers use that to attribute node construction to phases of a
 larger computation.
 
 Operations and model counts recurse once per variable level.  Where
@@ -124,7 +126,8 @@ class NodeRef:
             return "<bdd FALSE>"
         if self.index == 1:
             return "<bdd TRUE>"
-        return f"<bdd node {self.index} on x{self.manager._level[self.index]}>"
+        level, _, _ = self.manager._nodes[self.index]
+        return f"<bdd node {self.index} on x{level}>"
 
     # Operator sugar; the owning manager does the real work.
     def __invert__(self):
@@ -144,12 +147,16 @@ class BddManager:
     """Shared store of reduced ordered BDD nodes.
 
     The variable order is fixed at construction: variable ``i`` sits at
-    level ``i``.  ``cache_capacity`` bounds the binary-operation cache
-    only (the node store itself is never evicted): when set, the cache
-    becomes a fixed table of that many slots with overwrite on
-    collision, the way the classic C libraries behave.  By default the
-    cache is an unbounded dict, which is fastest and recomputes
-    nothing.
+    level ``i``.  Node ``u`` is ``_nodes[u]``, the ``(level, low, high)``
+    tuple that is also its key in the unique table.  The store is
+    append-only, so ``nodes_created`` and ``node_count`` are read off its
+    length.
+
+    ``cache_capacity`` bounds the binary-operation cache only (the node
+    store itself is never evicted): when set, the cache becomes a fixed
+    table of that many slots with overwrite on collision, the way the
+    classic C libraries behave.  By default the cache is an unbounded
+    dict, which is fastest and recomputes nothing.
 
     A manager and all of its handles are confined to a single logical
     thread; parallel workloads run one manager per worker.
@@ -162,24 +169,16 @@ class BddManager:
             raise BddError("cache capacity must be positive or None")
         self.var_count = var_count
         self._cache_capacity = cache_capacity
-        # Parallel node arrays; slots 0 and 1 are the terminals, parked
-        # at the leaf level below every variable.
-        self._level = [var_count, var_count]
-        self._low = [0, 1]
-        self._high = [0, 1]
+        # Slots 0 and 1 are the terminals, parked at the leaf level below
+        # every variable; they are not in the unique table.
+        self._nodes = [(var_count, 0, 0), (var_count, 1, 1)]
         self._unique: dict[tuple[int, int, int], int] = {}
-        self._apply_cache: dict[tuple[int, int, int], int] = {}
-        self._apply_slots: list[tuple[tuple[int, int, int], int] | None] | None = (
-            None if cache_capacity is None else [None] * cache_capacity
-        )
-        self._not_cache: dict[int, int] = {}
-        self._count_cache: dict[int, int] = {0: 0, 1: 1}
-        self._count2_cache: dict[tuple[int, int, int], int] = {}
-        self._created = 0
+        self._counted_from = 2
         # Node index -> its live handle; an entry goes when its handle dies.
         self._handles: weakref.WeakValueDictionary[int, NodeRef] = (
             weakref.WeakValueDictionary()
         )
+        self.clear_caches()
 
     @property
     def false(self) -> NodeRef:
@@ -230,7 +229,7 @@ class BddManager:
     def sat_count(self, a: NodeRef) -> int:
         """Number of satisfying assignments over all manager variables."""
         u = self._unwrap(a)
-        return self._count(u) << self._level[u]
+        return self._count(u) << self._nodes[u][0]
 
     def sat_prob(self, a: NodeRef) -> Fraction:
         """Exact probability that a uniformly random assignment satisfies ``a``."""
@@ -257,9 +256,9 @@ class BddManager:
                 f"assignment has {len(assignment)} bits, expected {self.var_count}"
             )
         u = self._unwrap(a)
-        high, low, level = self._high, self._low, self._level
         while u > 1:
-            u = high[u] if assignment[level[u]] else low[u]
+            level, low, high = self._nodes[u]
+            u = high if assignment[level] else low
         return u == 1
 
     def pick_assignment(self, a: NodeRef) -> list[int]:
@@ -270,10 +269,10 @@ class BddManager:
         bits = [0] * self.var_count
         while u > 1:
             # Every non-FALSE node has a satisfiable child (reducedness).
-            low = self._low[u]
+            level, low, high = self._nodes[u]
             if low == 0:
-                bits[self._level[u]] = 1
-                u = self._high[u]
+                bits[level] = 1
+                u = high
             else:
                 u = low
         return bits
@@ -282,24 +281,26 @@ class BddManager:
 
     def nodes_created(self) -> int:
         """Internal nodes created since construction or the last reset."""
-        return self._created
+        return len(self._nodes) - self._counted_from
 
     def reset_node_counter(self) -> None:
-        self._created = 0
+        self._counted_from = len(self._nodes)
 
     @property
     def node_count(self) -> int:
         """Internal nodes currently in the unique table."""
-        return len(self._level) - 2
+        return len(self._nodes) - 2
 
     def clear_caches(self) -> None:
-        """Drop the operation and count caches (the node store is untouched)."""
-        self._apply_cache.clear()
-        if self._apply_slots is not None:
-            self._apply_slots = [None] * self._cache_capacity
-        self._not_cache.clear()
-        self._count_cache = {0: 0, 1: 1}
-        self._count2_cache.clear()
+        """Start the operation, NOT and count caches empty; nodes are kept."""
+        capacity = self._cache_capacity
+        self._apply_cache: dict[tuple[int, int, int], int] = {}
+        self._apply_slots: list[tuple[tuple[int, int, int], int] | None] | None = (
+            None if capacity is None else [None] * capacity
+        )
+        self._not_cache: dict[int, int] = {}
+        self._count_cache: dict[int, int] = {0: 0, 1: 1}
+        self._count2_cache: dict[tuple[int, int, int], int] = {}
 
     # -- internals ------------------------------------------------------------
 
@@ -320,12 +321,8 @@ class BddManager:
         key = (level, low, high)
         u = self._unique.get(key)
         if u is None:
-            u = len(self._level)
-            self._level.append(level)
-            self._low.append(low)
-            self._high.append(high)
-            self._unique[key] = u
-            self._created += 1
+            u = self._unique[key] = len(self._nodes)
+            self._nodes.append(key)
         return u
 
     def _unary(self, kind: int, u: int) -> int:
@@ -356,16 +353,13 @@ class BddManager:
             slot = slots[hash(key) % self._cache_capacity]
             if slot is not None and slot[0] == key:
                 return slot[1]
-        level = self._level
-        la, lb = level[a], level[b]
+        nodes = self._nodes
+        la, a0, a1 = nodes[a]
+        lb, b0, b1 = nodes[b]
         lv = la if la < lb else lb
-        if la == lv:
-            a0, a1 = self._low[a], self._high[a]
-        else:
+        if la != lv:
             a0 = a1 = a
-        if lb == lv:
-            b0, b1 = self._low[b], self._high[b]
-        else:
+        if lb != lv:
             b0 = b1 = b
         r = self._mk(lv, self._apply(op, a0, b0), self._apply(op, a1, b1))
         if slots is None:
@@ -380,10 +374,8 @@ class BddManager:
         cache = self._not_cache
         r = cache.get(a)
         if r is None:
-            r = self._mk(
-                self._level[a], self._not(self._low[a]), self._not(self._high[a])
-            )
-            cache[a] = r
+            level, low, high = self._nodes[a]
+            r = cache[a] = self._mk(level, self._not(low), self._not(high))
         return r
 
     def _count(self, u: int) -> int:
@@ -392,21 +384,18 @@ class BddManager:
         cache = self._count_cache
         r = cache.get(u)
         if r is None:
-            level = self._level
-            low, high = self._low[u], self._high[u]
-            r = (self._count(low) << (level[low] - level[u] - 1)) + (
-                self._count(high) << (level[high] - level[u] - 1)
+            nodes = self._nodes
+            level, low, high = nodes[u]
+            r = cache[u] = (self._count(low) << (nodes[low][0] - level - 1)) + (
+                self._count(high) << (nodes[high][0] - level - 1)
             )
-            cache[u] = r
         return r
 
     def _count_pair(self, op: int, a: int, b: int) -> int:
-        level = self._level
-        return self._count2(op, a, b) << min(level[a], level[b])
+        return self._count2(op, a, b) << min(self._nodes[a][0], self._nodes[b][0])
 
     def _count2(self, op: int, u: int, v: int) -> int:
         # Counts over the variables at or below min(level(u), level(v)).
-        level = self._level
         if u < 2:
             if v < 2:
                 return _TABLES[op][2 * u + v]
@@ -422,24 +411,21 @@ class BddManager:
         r = cache.get(key)
         if r is not None:
             return r
-        lu, lv = level[u], level[v]
+        nodes = self._nodes
+        lu, u0, u1 = nodes[u]
+        lv, v0, v1 = nodes[v]
         lv_min = lu if lu < lv else lv
-        if lu == lv_min:
-            u0, u1 = self._low[u], self._high[u]
-        else:
+        if lu != lv_min:
             u0 = u1 = u
-        if lv == lv_min:
-            v0, v1 = self._low[v], self._high[v]
-        else:
+        if lv != lv_min:
             v0 = v1 = v
-        r = (
+        r = cache[key] = (
             self._count2(op, u0, v0)
-            << (min(level[u0], level[v0]) - lv_min - 1)
+            << (min(nodes[u0][0], nodes[v0][0]) - lv_min - 1)
         ) + (
             self._count2(op, u1, v1)
-            << (min(level[u1], level[v1]) - lv_min - 1)
+            << (min(nodes[u1][0], nodes[v1][0]) - lv_min - 1)
         )
-        cache[key] = r
         return r
 
     def _count_unary(self, kind: int, u: int) -> int:
@@ -447,7 +433,7 @@ class BddManager:
         if kind == _U_CONST0:
             return 0
         if kind == _U_CONST1:
-            return 1 << (self.var_count - self._level[u])
+            return 1 << (self.var_count - self._nodes[u][0])
         if kind == _U_SAME:
             return self._count(u)
-        return (1 << (self.var_count - self._level[u])) - self._count(u)
+        return (1 << (self.var_count - self._nodes[u][0])) - self._count(u)

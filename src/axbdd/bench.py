@@ -16,7 +16,7 @@ import random
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
 from . import metrics
@@ -25,24 +25,6 @@ from .bdd import BddManager
 from .bitvec import compile_circuit, subtract
 from .circuit import Circuit, emit, parse
 from .search import SearchConfig, _error_fields, range_threshold, run_search
-
-#: Exact column order of the records CSV.
-CSV_COLUMNS = (
-    "circuit_id",
-    "width",
-    "signed",
-    "metric",
-    "algorithm",
-    "load_ns",
-    "sub_ns",
-    "calc_ns",
-    "load_nodes",
-    "sub_nodes",
-    "calc_nodes",
-    "result_num",
-    "result_den_exp",
-    "seed",
-)
 
 
 @dataclass
@@ -81,6 +63,10 @@ class BenchRecord:
         if self.result_den_exp == 0:
             return self.result_num
         return Fraction(self.result_num, 1 << self.result_den_exp)
+
+
+#: Exact column order of the records CSV: the record's fields but ``error``.
+CSV_COLUMNS = tuple(f.name for f in fields(BenchRecord) if f.name != "error")
 
 
 @dataclass
@@ -233,8 +219,7 @@ def _evolved_parents(golden: Circuit, spec: CorpusSpec, seed: int) -> list[Circu
     (2 edits, the search default); heavy mutation belongs to the
     measured candidates only.
     """
-    # str() keeps the decimal the spec gives (0.6 is 3/5, not its binary float).
-    tau = range_threshold(golden, str(spec.evolve_tau_range))
+    tau = range_threshold(golden, spec.evolve_tau_range)
 
     def segment(generations, start, rng_seed):
         cfg = SearchConfig(

@@ -70,8 +70,12 @@ class GenerationRecord:
 
 
 def range_threshold(circuit: Circuit, fraction) -> int:
-    """Absolute threshold for a fraction of the circuit's output range."""
-    frac = Fraction(fraction)
+    """Absolute threshold for a fraction of the circuit's output range.
+
+    A float counts at its decimal value: 0.6 is 3/5, not the binary
+    fraction nearest to it.
+    """
+    frac = Fraction(str(fraction) if isinstance(fraction, float) else fraction)
     if not 0 <= frac <= 1:
         raise ValueError("fraction must lie in [0, 1]")
     return int(frac * ((1 << circuit.output_count) - 1))

@@ -57,6 +57,13 @@ def test_var_projection_and_canonicity():
     assert m.sat_prob(x0) == Fraction(1, 2)
 
 
+def test_repr_names_node_and_variable():
+    m = BddManager(4)
+    assert repr(m.false) == "<bdd FALSE>"
+    assert repr(m.true) == "<bdd TRUE>"
+    assert repr(m.var(3)) == "<bdd node 2 on x3>"
+
+
 def test_var_index_out_of_range():
     m = BddManager(2)
     with pytest.raises(BddError):
@@ -192,7 +199,15 @@ def test_pairwise_counting_matches_materialized_product():
 
 
 def test_node_counter():
-    m = BddManager(4)
+    _check_node_counter(capacity=None)
+
+
+def test_node_counter_bounded_cache():
+    _check_node_counter(capacity=7)
+
+
+def _check_node_counter(capacity):
+    m = BddManager(4, cache_capacity=capacity)
     assert m.nodes_created() == 0  # terminals excluded by convention
     m.var(0)
     assert m.nodes_created() == 1
@@ -203,6 +218,12 @@ def test_node_counter():
     m.apply("xor", m.var(1), m.var(2))
     created = m.node_count - before
     assert m.nodes_created() == created > 0
+    m.clear_caches()
+    assert m.nodes_created() == created
+    m.apply("xor", m.var(1), m.var(2))
+    assert m.nodes_created() == created  # the node store survives a clear
+    # Each stored node is the very tuple that keys it in the unique table.
+    assert all(m._nodes[u] is key for key, u in m._unique.items())
 
 
 def test_bounded_cache_changes_nothing_but_speed():
@@ -222,12 +243,28 @@ def test_cache_capacity_validation():
 
 
 def test_clear_caches_keeps_results():
-    m = BddManager(4)
+    _check_clear_caches_keeps_results(capacity=None)
+
+
+def test_clear_caches_keeps_results_bounded_cache():
+    _check_clear_caches_keeps_results(capacity=7)
+
+
+def _check_clear_caches_keeps_results(capacity):
+    m = BddManager(4, cache_capacity=capacity)
     a = m.apply("xor", m.var(0), m.var(1))
-    b = m.apply("or", m.var(1), m.var(2))
+    b = m.apply("or", m.var(1), m.not_(m.var(2)))
     counts = (m.sat_count(a), m.sat_count_and(a, b))
     m.clear_caches()
-    assert m._count_cache == {0: 0, 1: 1} and not m._count2_cache
+    fresh = BddManager(4, cache_capacity=capacity)
+    for cache in (
+        "_apply_cache",
+        "_apply_slots",
+        "_not_cache",
+        "_count_cache",
+        "_count2_cache",
+    ):
+        assert getattr(m, cache) == getattr(fresh, cache), cache
     assert m.apply("xor", m.var(0), m.var(1)) is a
     assert (m.sat_count(a), m.sat_count_and(a, b)) == counts == (8, 6)
 

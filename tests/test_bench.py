@@ -117,7 +117,12 @@ def test_csv_columns_and_round_trip(records, tmp_path):
     write_records_csv(records, path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == list(CSV_COLUMNS)
+    # The header README documents; reordering a record field must fail here.
+    header = (
+        "circuit_id,width,signed,metric,algorithm,load_ns,sub_ns,calc_ns,"
+        "load_nodes,sub_nodes,calc_nodes,result_num,result_den_exp,seed"
+    )
+    assert rows[0] == list(CSV_COLUMNS) == header.split(",")
     assert len(rows) == len(records) + 1
     assert rows[1][1] == "6"  # width column
     assert rows[1][2] == "false"  # signedness serialized as true/false

@@ -119,6 +119,11 @@ def test_range_threshold():
         range_threshold(c, 2)
 
 
+def test_range_threshold_takes_a_float_at_its_decimal_value():
+    c = gen_adder("rca", 15, False)  # 16 outputs -> range 65,535
+    assert range_threshold(c, 0.6) == range_threshold(c, Fraction("0.6")) == 39321
+
+
 def test_write_history_json_lines(tmp_path):
     seed = gen_adder("rca", 3, False)
     cfg = SearchConfig(metric="wce", threshold=2, max_generations=4, seed=9)
