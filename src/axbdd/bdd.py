@@ -16,7 +16,8 @@ Each node is kept once, as the ``(level, low, high)`` tuple that also
 keys it in the unique table.  The store is append-only, so the number
 of nodes created since any point (terminals excluded) is read off its
 length; callers use that to attribute node construction to phases of a
-larger computation.
+larger computation.  The operation cache is one dict, cleared when it
+reaches ``cache_capacity`` entries.
 
 Operations and model counts recurse once per variable level.  Where
 that would pass Python's recursion limit, the public entry point raises
@@ -153,10 +154,10 @@ class BddManager:
     length.
 
     ``cache_capacity`` bounds the binary-operation cache only (the node
-    store itself is never evicted): when set, the cache becomes a fixed
-    table of that many slots with overwrite on collision, the way the
-    classic C libraries behave.  By default the cache is an unbounded
-    dict, which is fastest and recomputes nothing.
+    store itself is never evicted): the cache is one dict, cleared when
+    it reaches ``cache_capacity`` entries, so it never holds more.  By
+    default it is unbounded and recomputes nothing.  The bound changes
+    speed only, never a result.
 
     A manager and all of its handles are confined to a single logical
     thread; parallel workloads run one manager per worker.
@@ -168,7 +169,7 @@ class BddManager:
         if cache_capacity is not None and cache_capacity < 1:
             raise BddError("cache capacity must be positive or None")
         self.var_count = var_count
-        self._cache_capacity = cache_capacity
+        self._cache_limit = sys.maxsize if cache_capacity is None else cache_capacity
         # Slots 0 and 1 are the terminals, parked at the leaf level below
         # every variable; they are not in the unique table.
         self._nodes = [(var_count, 0, 0), (var_count, 1, 1)]
@@ -293,11 +294,7 @@ class BddManager:
 
     def clear_caches(self) -> None:
         """Start the operation, NOT and count caches empty; nodes are kept."""
-        capacity = self._cache_capacity
         self._apply_cache: dict[tuple[int, int, int], int] = {}
-        self._apply_slots: list[tuple[tuple[int, int, int], int] | None] | None = (
-            None if capacity is None else [None] * capacity
-        )
         self._not_cache: dict[int, int] = {}
         self._count_cache: dict[int, int] = {0: 0, 1: 1}
         self._count2_cache: dict[tuple[int, int, int], int] = {}
@@ -344,15 +341,10 @@ class BddManager:
         if a > b and op in _COMMUTATIVE:
             a, b = b, a
         key = (op, a, b)
-        slots = self._apply_slots
-        if slots is None:
-            r = self._apply_cache.get(key)
-            if r is not None:
-                return r
-        else:
-            slot = slots[hash(key) % self._cache_capacity]
-            if slot is not None and slot[0] == key:
-                return slot[1]
+        cache = self._apply_cache
+        r = cache.get(key)
+        if r is not None:
+            return r
         nodes = self._nodes
         la, a0, a1 = nodes[a]
         lb, b0, b1 = nodes[b]
@@ -362,10 +354,9 @@ class BddManager:
         if lb != lv:
             b0 = b1 = b
         r = self._mk(lv, self._apply(op, a0, b0), self._apply(op, a1, b1))
-        if slots is None:
-            self._apply_cache[key] = r
-        else:
-            slots[hash(key) % self._cache_capacity] = (key, r)
+        if len(cache) >= self._cache_limit:
+            cache.clear()
+        cache[key] = r
         return r
 
     def _not(self, a: int) -> int:

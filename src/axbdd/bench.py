@@ -80,7 +80,7 @@ class CorpusSpec:
     trajectory, so candidates span the whole saturation range.  Set
     ``evolve_generations`` to 0 to mutate the exact seed adder
     directly.  ``cache_capacity`` bounds every evaluation manager's
-    operation cache (None = unbounded).
+    operation cache, one dict cleared when full (None = unbounded).
     """
 
     kinds: list[str] = field(default_factory=lambda: list(ADDER_KINDS))
@@ -114,6 +114,9 @@ class CorpusSpec:
             raise ValueError("evolve_generations must be non-negative")
         if not 0 <= self.evolve_tau_range <= 1:
             raise ValueError("evolve_tau_range must lie in [0, 1]")
+        capacity = self.cache_capacity
+        if capacity is not None and (type(capacity) is not int or capacity < 1):
+            raise ValueError("cache_capacity must be a positive integer or None")
 
     @classmethod
     def from_dict(cls, data: dict) -> "CorpusSpec":

@@ -197,18 +197,17 @@ def mae_noabs(eps: BddWord) -> ErrorValue:
 
     Sums the difference bits over the non-negative points and the
     inverted bits over the negative points, then adds the negative
-    fraction once to undo the missing increment.  The per-bit
-    conjunction counts come from the pairwise counting kernel, so this
-    route builds no BDDs at all.
+    fraction once to undo the missing increment.  Bit ``b`` under sign
+    ``s`` adds exactly ``|b & ~s| + |s & ~b| = |b| + |s| - 2|b & s|``:
+    one pairwise count per bit, and no BDD is built at all.
     """
     _require_difference_word(eps)
     manager = eps.manager
     sign = eps.sign_bit
-    total = 0
+    negatives = total = manager.sat_count(sign)
     for i, bit in enumerate(eps.bits[:-1]):
-        total += manager.sat_count_andnot(bit, sign) << i
-        total += manager.sat_count_andnot(sign, bit) << i
-    total += manager.sat_count(sign)
+        both = manager.sat_count_and(bit, sign)
+        total += (manager.sat_count(bit) + negatives - 2 * both) << i
     value = Fraction(total, 1 << manager.var_count)
     return ErrorValue(MAE, NOABS, value, manager.var_count, eps.width - 1)
 

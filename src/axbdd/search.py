@@ -108,9 +108,13 @@ def run_search(
     parent_fitness: float | int = parent.active_gate_count()
     zero = 0 if cfg.metric == metrics.WCE else Fraction(0)
     parent_error = zero
+
+    def score(candidate: Circuit) -> int | Fraction:
+        eps = subtract(golden, compile_circuit(manager, candidate))
+        return metrics.compute(eps, cfg.metric, cfg.algorithm).value
+
     if start_from is not None:
-        eps = subtract(golden, compile_circuit(manager, parent))
-        parent_error = metrics.compute(eps, cfg.metric, cfg.algorithm).value
+        parent_error = score(parent)
         if parent_error > cfg.threshold:
             raise ValueError("start_from circuit violates the threshold")
     evals = 0
@@ -140,8 +144,7 @@ def run_search(
         best_child_error = zero
         for _ in range(cfg.offspring):
             child = mutate(parent, rng.getrandbits(64), cfg.edits)
-            eps = subtract(golden, compile_circuit(manager, child))
-            error = metrics.compute(eps, cfg.metric, cfg.algorithm).value
+            error = score(child)
             evals += 1
             fitness = (
                 child.active_gate_count() if error <= cfg.threshold else math.inf

@@ -227,14 +227,15 @@ def _check_node_counter(capacity):
 
 
 def test_bounded_cache_changes_nothing_but_speed():
-    rng = random.Random(29)
     results = []
-    for capacity in (None, 7):
+    for capacity in (None, 1, 7):
         m = BddManager(7, cache_capacity=capacity)
         rng_local = random.Random(29)
         pool = random_formula_pool(m, rng_local, extra=60)
-        results.append([m.sat_count(node) for node, _ in pool])
-    assert results[0] == results[1]
+        if capacity is not None:
+            assert len(m._apply_cache) <= capacity
+        results.append(([m.sat_count(node) for node, _ in pool], m.node_count))
+    assert results[0] == results[1] == results[2]
 
 
 def test_cache_capacity_validation():
@@ -259,7 +260,6 @@ def _check_clear_caches_keeps_results(capacity):
     fresh = BddManager(4, cache_capacity=capacity)
     for cache in (
         "_apply_cache",
-        "_apply_slots",
         "_not_cache",
         "_count_cache",
         "_count2_cache",

@@ -187,6 +187,8 @@ def test_spec_validation():
         CorpusSpec(edits=0)
     with pytest.raises(ValueError):
         CorpusSpec(evolve_tau_range=2.0)
+    with pytest.raises(ValueError, match="cache_capacity"):
+        CorpusSpec.from_dict({"cache_capacity": 0})
     with pytest.raises(ValueError):
         CorpusSpec.from_dict({"mutants": 2, "surprise": 1})
 
