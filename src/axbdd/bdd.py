@@ -19,6 +19,11 @@ length; callers use that to attribute node construction to phases of a
 larger computation.  The operation cache is one dict, cleared when it
 reaches ``cache_capacity`` entries.
 
+A binary operation is coded by its 4-bit truth table, and what it
+degenerates to on a terminal or on equal operands by a 2-bit one.  Model
+counts are over all of the manager's variables at every node, so no
+count is rescaled by the levels a child skips.
+
 Operations and model counts recurse once per variable level.  Where
 that would pass Python's recursion limit, the public entry point raises
 :class:`BddError` instead; the limit itself is left alone.
@@ -36,57 +41,35 @@ class BddError(Exception):
     """Misuse of a manager or node handle (foreign node, bad index, ...)."""
 
 
-# Binary operation codes.  The six classic gate operations are
-# commutative and cache on (op, min, max); the fused and-not (the
-# ``diff`` operator of the usual BDD libraries, here so callers never
-# have to materialize a complement copy) caches on (op, a, b) as is.
-_AND, _OR, _XOR, _NAND, _NOR, _XNOR, _ANDNOT = range(7)
+# An operation is coded by its truth table: bit ``2*a + b`` of the code
+# is op(a, b).  The six gate operations are commutative (bits 1 and 2
+# agree) and cache on (op, min, max); the fused and-not (the ``diff``
+# operator of the usual BDD libraries, here so callers never have to
+# materialize a complement copy) caches on (op, a, b) as is.
+_AND, _ANDNOT = 0b1000, 0b0100
 
 _OP_CODES = {
     "and": _AND,
-    "or": _OR,
-    "xor": _XOR,
-    "nand": _NAND,
-    "nor": _NOR,
-    "xnor": _XNOR,
+    "or": 0b1110,
+    "xor": 0b0110,
+    "nand": 0b0111,
+    "nor": 0b0001,
+    "xnor": 0b1001,
     "andnot": _ANDNOT,
 }
 
-_COMMUTATIVE = frozenset({_AND, _OR, _XOR, _NAND, _NOR, _XNOR})
-
-# Truth tables indexed by 2*a + b.
-_TABLES = {
-    _AND: (0, 0, 0, 1),
-    _OR: (0, 1, 1, 1),
-    _XOR: (0, 1, 1, 0),
-    _NAND: (1, 1, 1, 0),
-    _NOR: (1, 0, 0, 0),
-    _XNOR: (1, 0, 0, 1),
-    _ANDNOT: (0, 0, 1, 0),
-}
+_COMMUTATIVE = frozenset(op for op in range(16) if (op >> 1 ^ op >> 2) & 1 == 0)
 
 # When one operand is a terminal (or both operands coincide) the
-# operation degenerates to a unary function of the other operand.
-_U_CONST0, _U_CONST1, _U_SAME, _U_NEG = range(4)
+# operation degenerates to a unary function of the other operand, coded
+# the same way: bit x of the 2-bit code is its value at x.
+_U_CONST0, _U_NEG, _U_SAME, _U_CONST1 = range(4)
 
-
-def _unary_kind(when0: int, when1: int) -> int:
-    if when0 == when1:
-        return _U_CONST1 if when0 else _U_CONST0
-    return _U_SAME if when1 else _U_NEG
-
-
-# _LEFT[op][v] is the unary residual of op(v, x) for terminal v,
-# _RIGHT[op][v] that of op(x, v); _DIAG[op] the residual on op(x, x).
-_LEFT = {
-    op: (_unary_kind(t[0], t[1]), _unary_kind(t[2], t[3]))
-    for op, t in _TABLES.items()
-}
-_RIGHT = {
-    op: (_unary_kind(t[0], t[2]), _unary_kind(t[1], t[3]))
-    for op, t in _TABLES.items()
-}
-_DIAG = {op: _unary_kind(t[0], t[3]) for op, t in _TABLES.items()}
+# _LEFT[op][v] is the residual of op(v, x) for terminal v, _RIGHT[op][v]
+# that of op(x, v), and _DIAG[op] that of op(x, x).
+_LEFT = [(op & 3, op >> 2) for op in range(16)]
+_RIGHT = [(op & 1 | op >> 1 & 2, op >> 1 & 1 | op >> 2 & 2) for op in range(16)]
+_DIAG = [op & 1 | op >> 2 & 2 for op in range(16)]
 
 
 def _depth_guarded(method):
@@ -151,7 +134,8 @@ class BddManager:
     level ``i``.  Node ``u`` is ``_nodes[u]``, the ``(level, low, high)``
     tuple that is also its key in the unique table.  The store is
     append-only, so ``nodes_created`` and ``node_count`` are read off its
-    length.
+    length.  Operations are coded by their truth tables, and every model
+    count, cached or not, is over all ``var_count`` variables.
 
     ``cache_capacity`` bounds the binary-operation cache only (the node
     store itself is never evicted): the cache is one dict, cleared when
@@ -166,8 +150,10 @@ class BddManager:
     def __init__(self, var_count: int, cache_capacity: int | None = None):
         if var_count < 0:
             raise BddError("variable count must be non-negative")
-        if cache_capacity is not None and cache_capacity < 1:
-            raise BddError("cache capacity must be positive or None")
+        if cache_capacity is not None and (
+            type(cache_capacity) is not int or cache_capacity < 1
+        ):
+            raise BddError("cache capacity must be a positive integer or None")
         self.var_count = var_count
         self._cache_limit = sys.maxsize if cache_capacity is None else cache_capacity
         # Slots 0 and 1 are the terminals, parked at the leaf level below
@@ -229,8 +215,7 @@ class BddManager:
     @_depth_guarded
     def sat_count(self, a: NodeRef) -> int:
         """Number of satisfying assignments over all manager variables."""
-        u = self._unwrap(a)
-        return self._count(u) << self._nodes[u][0]
+        return self._count(self._unwrap(a))
 
     def sat_prob(self, a: NodeRef) -> Fraction:
         """Exact probability that a uniformly random assignment satisfies ``a``."""
@@ -243,12 +228,12 @@ class BddManager:
         A pairwise traversal of both DAGs; equals
         ``sat_count(apply('and', a, b))`` but creates no nodes.
         """
-        return self._count_pair(_AND, self._unwrap(a), self._unwrap(b))
+        return self._count2(_AND, self._unwrap(a), self._unwrap(b))
 
     @_depth_guarded
     def sat_count_andnot(self, a: NodeRef, b: NodeRef) -> int:
         """Model count of ``a AND NOT b`` without materializing it."""
-        return self._count_pair(_ANDNOT, self._unwrap(a), self._unwrap(b))
+        return self._count2(_ANDNOT, self._unwrap(a), self._unwrap(b))
 
     def evaluate(self, a: NodeRef, assignment) -> bool:
         """Evaluate under a full assignment (sequence of ``var_count`` bits)."""
@@ -296,7 +281,7 @@ class BddManager:
         """Start the operation, NOT and count caches empty; nodes are kept."""
         self._apply_cache: dict[tuple[int, int, int], int] = {}
         self._not_cache: dict[int, int] = {}
-        self._count_cache: dict[int, int] = {0: 0, 1: 1}
+        self._count_cache: dict[int, int] = {0: 0, 1: 1 << self.var_count}
         self._count2_cache: dict[tuple[int, int, int], int] = {}
 
     # -- internals ------------------------------------------------------------
@@ -370,26 +355,19 @@ class BddManager:
         return r
 
     def _count(self, u: int) -> int:
-        # Satisfying assignments over the variables at or below u's level;
-        # sat_count() scales by the levels above the root.
+        # Satisfying assignments over all variables.  Neither child depends
+        # on u's variable, so half of each child's models take u's branch
+        # to that child.
         cache = self._count_cache
         r = cache.get(u)
         if r is None:
-            nodes = self._nodes
-            level, low, high = nodes[u]
-            r = cache[u] = (self._count(low) << (nodes[low][0] - level - 1)) + (
-                self._count(high) << (nodes[high][0] - level - 1)
-            )
+            _, low, high = self._nodes[u]
+            r = cache[u] = (self._count(low) + self._count(high)) >> 1
         return r
 
-    def _count_pair(self, op: int, a: int, b: int) -> int:
-        return self._count2(op, a, b) << min(self._nodes[a][0], self._nodes[b][0])
-
     def _count2(self, op: int, u: int, v: int) -> int:
-        # Counts over the variables at or below min(level(u), level(v)).
+        # Satisfying assignments of op(u, v) over all variables.
         if u < 2:
-            if v < 2:
-                return _TABLES[op][2 * u + v]
             return self._count_unary(_LEFT[op][u], v)
         if v < 2:
             return self._count_unary(_RIGHT[op][v], u)
@@ -400,31 +378,22 @@ class BddManager:
         key = (op, u, v)
         cache = self._count2_cache
         r = cache.get(key)
-        if r is not None:
-            return r
-        nodes = self._nodes
-        lu, u0, u1 = nodes[u]
-        lv, v0, v1 = nodes[v]
-        lv_min = lu if lu < lv else lv
-        if lu != lv_min:
-            u0 = u1 = u
-        if lv != lv_min:
-            v0 = v1 = v
-        r = cache[key] = (
-            self._count2(op, u0, v0)
-            << (min(nodes[u0][0], nodes[v0][0]) - lv_min - 1)
-        ) + (
-            self._count2(op, u1, v1)
-            << (min(nodes[u1][0], nodes[v1][0]) - lv_min - 1)
-        )
+        if r is None:
+            lu, u0, u1 = self._nodes[u]
+            lv, v0, v1 = self._nodes[v]
+            if lu < lv:
+                v0 = v1 = v
+            elif lv < lu:
+                u0 = u1 = u
+            r = self._count2(op, u0, v0) + self._count2(op, u1, v1)
+            r = cache[key] = r >> 1
         return r
 
     def _count_unary(self, kind: int, u: int) -> int:
-        # Count of the residual unary function, over levels >= level(u).
         if kind == _U_CONST0:
             return 0
         if kind == _U_CONST1:
-            return 1 << (self.var_count - self._nodes[u][0])
+            return 1 << self.var_count
         if kind == _U_SAME:
             return self._count(u)
-        return (1 << (self.var_count - self._nodes[u][0])) - self._count(u)
+        return (1 << self.var_count) - self._count(u)

@@ -100,6 +100,12 @@ class CorpusSpec:
         for kind in self.kinds:
             if kind not in ADDER_KINDS:
                 raise ValueError(f"unknown adder kind {kind!r}")
+        for width in self.bits:
+            if type(width) is not int or not 1 <= width <= 32:
+                raise ValueError(f"bits must be integers in 1..32, got {width!r}")
+        for flag in self.signed:
+            if type(flag) is not bool:
+                raise ValueError(f"signed must be booleans, got {flag!r}")
         for metric in self.metrics:
             if metric not in metrics.METRICS:
                 raise ValueError(f"unknown metric {metric!r}")

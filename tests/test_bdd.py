@@ -17,6 +17,7 @@ from axbdd import (
     parse,
     simulate,
 )
+from axbdd.bdd import _OP_CODES
 
 from conftest import all_assignments, xor_chain_text
 
@@ -198,6 +199,36 @@ def test_pairwise_counting_matches_materialized_product():
         assert m.sat_count_andnot(a, b) == m.sat_count(m.apply("andnot", a, b))
 
 
+@pytest.mark.parametrize("op", PY_OPS)
+def test_terminal_and_equal_operands(op):
+    # The residual of op on a terminal operand, or on two equal ones.
+    m = BddManager(3)
+    x = (m.apply("xor", m.var(0), m.var(2)), lambda bits: bits[0] ^ bits[2])
+    operands = [(x, x)]
+    for term in ((m.false, lambda bits: 0), (m.true, lambda bits: 1)):
+        operands += [(x, term), (term, x)]
+    for (a, fa), (b, fb) in operands:
+        node = m.apply(op, a, b)
+        for bits in all_assignments(3):
+            assert m.evaluate(node, bits) == bool(PY_OPS[op](fa(bits), fb(bits)))
+        # The pairwise counter takes any operation code, not only and/andnot.
+        assert m._count2(_OP_CODES[op], a.index, b.index) == m.sat_count(node)
+        assert m.sat_count_and(a, b) == m.sat_count(m.apply("and", a, b))
+        assert m.sat_count_andnot(a, b) == m.sat_count(m.apply("andnot", a, b))
+
+
+def test_counts_on_a_wide_manager():
+    n = 200
+    m = BddManager(n)
+    assert m.sat_count(m.true) == 2**n
+    assert m.sat_count(m.false) == 0
+    for i, j in ((0, 1), (0, 199), (57, 143), (198, 199), (120, 3)):
+        assert m.sat_count(m.var(i)) == m.sat_count(m.var(j)) == 2 ** (n - 1)
+        assert m.sat_count_and(m.var(i), m.var(j)) == 2 ** (n - 2)
+        assert m.sat_count_andnot(m.var(i), m.var(j)) == 2 ** (n - 2)
+    assert m.sat_count(m.apply("xor", m.var(0), m.var(199))) == 2 ** (n - 1)
+
+
 def test_node_counter():
     _check_node_counter(capacity=None)
 
@@ -239,8 +270,9 @@ def test_bounded_cache_changes_nothing_but_speed():
 
 
 def test_cache_capacity_validation():
-    with pytest.raises(BddError):
-        BddManager(2, cache_capacity=0)
+    for capacity in (0, 2.5, "8", True):
+        with pytest.raises(BddError):
+            BddManager(2, cache_capacity=capacity)
 
 
 def test_clear_caches_keeps_results():

@@ -189,6 +189,12 @@ def test_spec_validation():
         CorpusSpec(evolve_tau_range=2.0)
     with pytest.raises(ValueError, match="cache_capacity"):
         CorpusSpec.from_dict({"cache_capacity": 0})
+    for bits in ([0], [33], [8.0], [True]):
+        with pytest.raises(ValueError, match="bits"):
+            CorpusSpec(bits=bits)
+    for signed in (["x"], [1]):
+        with pytest.raises(ValueError, match="signed"):
+            CorpusSpec(signed=signed)
     with pytest.raises(ValueError):
         CorpusSpec.from_dict({"mutants": 2, "surprise": 1})
 
