@@ -20,6 +20,7 @@ print("  probability:", m.sat_prob(majority))
 # canonicity: a different syntax for the same function is the same node
 rebuilt = ~((~x0 | ~x1) & (~x1 | ~x2) & (~x0 | ~x2))
 print("  de-morganed rebuild is the identical node:", rebuilt is majority)
+assert rebuilt is majority
 
 # a witness assignment
 bits = m.pick_assignment(majority)
@@ -27,6 +28,7 @@ print("  one satisfying assignment:", bits)
 
 # contradiction collapses to the FALSE terminal, so checks are free
 print("  x0 AND NOT x0 is FALSE:", (x0 & ~x0) is m.false)
+assert (x0 & ~x0) is m.false
 
 print("\nnodes created so far:", m.nodes_created())
 m.reset_node_counter()

@@ -32,3 +32,4 @@ cla = gen_adder("cla", 8, signed=False)
 wce, mae, rate = oracle_metrics(rca, cla)
 print(f"rca8 vs cla8 over all 2^16 inputs: wce={wce} mae={mae} rate={rate}")
 print("(zero everywhere: different topology, same function)")
+assert wce == mae == rate == 0

@@ -13,8 +13,10 @@ from axbdd import (
     compile_circuit,
     error_rate,
     gen_adder,
+    int_value,
     mutate,
     oracle_metrics,
+    simulate,
     subtract,
     metrics,
 )
@@ -28,10 +30,12 @@ candidate_word = compile_circuit(manager, candidate)
 eps = subtract(golden_word, candidate_word)
 print(f"difference word: {eps.width} bits over {manager.var_count} variables")
 
+values = {}
 for metric in (metrics.WCE, metrics.MAE):
     print(f"\n{metric}:")
     for algorithm in metrics.ALGORITHMS:
         result = metrics.compute(eps, metric, algorithm)
+        values[metric, algorithm] = result.value
         print(f"  {algorithm:<9} -> {result.value}")
 
 rate = error_rate(golden_word, candidate_word)
@@ -40,8 +44,14 @@ print(f"\nerror rate: {rate.value} ({float(rate.value):.3f})")
 # the exhaustive oracle agrees exactly (feasible here: 2^16 inputs)
 wce_o, mae_o, rate_o = oracle_metrics(golden, candidate)
 print(f"oracle:     wce={wce_o} mae={mae_o} rate={rate_o}")
+for algorithm in metrics.ALGORITHMS:
+    assert values[metrics.WCE, algorithm] == wce_o
+    assert values[metrics.MAE, algorithm] == mae_o
+assert rate.value == rate_o
 
 # worst-case searches also return a witness: an input attaining the error
 result = metrics.wce_noabs(eps)
 witness_bits = manager.pick_assignment(result.witness)
 print(f"\na worst-case input: {witness_bits} attains |error| = {result.value}")
+exact, approx = (int_value(simulate(c, witness_bits)) for c in (golden, candidate))
+assert abs(exact - approx) == result.value

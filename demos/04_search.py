@@ -27,6 +27,7 @@ print(f"best: {best.active_gate_count()} active gates "
 wce, mae, rate = oracle_metrics(seed, best)
 print(f"oracle check of the result: wce={wce} (bound {cfg.threshold}), "
       f"mae={float(mae):.3f}, error rate={float(rate):.3f}")
+assert wce <= cfg.threshold
 
 print("\nsize trajectory (every 50th generation):")
 for record in history[::50]:

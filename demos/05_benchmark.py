@@ -40,4 +40,6 @@ for r in records:
     by_pair.setdefault((r.circuit_id, r.metric), set()).add(
         (r.result_num, r.result_den_exp)
     )
-print("  agreement:", all(len(v) == 1 for v in by_pair.values()))
+agreement = all(len(v) == 1 for v in by_pair.values())
+print("  agreement:", agreement)
+assert agreement

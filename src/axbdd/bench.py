@@ -4,27 +4,30 @@ Every evaluation runs on a fresh manager and is split into three
 phases: *loading* (netlist to BDD words), *subtracting* (difference
 word construction) and *calculating* (the metric algorithm itself).
 Node-creation counters are reset at each phase boundary so the node
-columns attribute construction work to the phase that caused it.
+columns attribute construction work to the phase that caused it.  A
+task pairs a :class:`BenchRecord` naming the evaluation with its circuits.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import gc
+import itertools
 import json
 import random
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 
 from . import metrics
 from .adders import ADDER_KINDS, gen_adder, mutate
 from .bdd import BddManager
 from .bitvec import compile_circuit, subtract
-from .circuit import Circuit, emit, parse
-from .search import SearchConfig, _error_fields, range_threshold, run_search
+from .circuit import Circuit
+from .search import SearchConfig, range_threshold, run_search
 
 
 @dataclass
@@ -60,9 +63,7 @@ class BenchRecord:
         """Exact metric value, or None for a failed record."""
         if self.result_num is None:
             return None
-        if self.result_den_exp == 0:
-            return self.result_num
-        return Fraction(self.result_num, 1 << self.result_den_exp)
+        return metrics.exact_value(self.result_num, self.result_den_exp)
 
 
 #: Exact column order of the records CSV: the record's fields but ``error``.
@@ -143,8 +144,8 @@ def _evaluate_once(
     metric: str,
     algorithm: str,
     cache_capacity: int | None = None,
-):
-    """One fresh-manager evaluation; returns timings, node counts, result.
+) -> dict:
+    """One fresh-manager evaluation; returns the measured record fields.
 
     Garbage collection is paused for the timed section so allocator
     pauses do not land on random phases.  No collection is forced
@@ -176,44 +177,30 @@ def _evaluate_once(
     finally:
         if was_enabled:
             gc.enable()
-    return {
-        "load_ns": t1 - t0,
-        "sub_ns": t2 - t1,
-        "calc_ns": t3 - t2,
-        "load_nodes": load_nodes,
-        "sub_nodes": sub_nodes,
-        "calc_nodes": calc_nodes,
-        "value": result.value,
-    }
+    num, den_exp = metrics.exact_fields(result.value, golden.input_count)
+    return dict(
+        load_ns=t1 - t0, sub_ns=t2 - t1, calc_ns=t3 - t2,
+        load_nodes=load_nodes, sub_nodes=sub_nodes, calc_nodes=calc_nodes,
+        result_num=num, result_den_exp=den_exp,
+    )
 
 
-def _run_task(task: dict) -> dict:
-    """Worker entry point; task carries netlist text so it pickles cleanly."""
-    golden = parse(task["golden_text"])
-    approx = parse(task["approx_text"])
-    record = {
-        "circuit_id": task["circuit_id"],
-        "width": task["width"],
-        "signed": task["signed"],
-        "metric": task["metric"],
-        "algorithm": task["algorithm"],
-        "seed": task["seed"],
-    }
-    capacity = task["cache_capacity"]
+def _run_task(task, warmup: bool, cache_capacity: int | None) -> BenchRecord:
+    """Worker entry point: measure one ``(record, golden, approx)`` task.
+
+    Returns a copy of the record with the measured fields filled in; a
+    failure sets only ``error``, so a failed record carries no partial
+    measurement.  A truthy ``warmup`` discards one evaluation first.
+    """
+    record, golden, approx = task
+    args = (golden, approx, record.metric, record.algorithm, cache_capacity)
     try:
-        if task["warmup"]:
-            _evaluate_once(golden, approx, task["metric"], task["algorithm"], capacity)
-        measured = _evaluate_once(
-            golden, approx, task["metric"], task["algorithm"], capacity
-        )
+        if warmup:
+            _evaluate_once(*args)
+        measured = _evaluate_once(*args)
     except Exception as exc:  # per-record failures must not stop the run
-        record["error"] = f"{type(exc).__name__}: {exc}"
-        return record
-    num, den_exp = _error_fields(measured.pop("value"), golden.input_count)
-    record.update(measured)
-    record["result_num"] = num
-    record["result_den_exp"] = den_exp
-    return record
+        return replace(record, error=f"{type(exc).__name__}: {exc}")
+    return replace(record, **measured)
 
 
 _CHECKPOINTS = 4
@@ -255,43 +242,26 @@ def _evolved_parents(golden: Circuit, spec: CorpusSpec, seed: int) -> list[Circu
     return parents
 
 
-def _build_tasks(spec: CorpusSpec) -> list[dict]:
+def _build_tasks(spec: CorpusSpec) -> list[tuple[BenchRecord, Circuit, Circuit]]:
+    """One ``(record, golden, approx)`` task per evaluation, in a fixed order."""
     tasks = []
-    for kind in spec.kinds:
-        for bits in spec.bits:
-            for signed in spec.signed:
-                golden = gen_adder(kind, bits, signed)
-                golden_text = emit(golden)
-                rng = random.Random(f"{spec.seed}:{kind}:{bits}:{int(signed)}")
-                parents = [golden]
-                if spec.evolve_generations > 0:
-                    parents = _evolved_parents(golden, spec, rng.getrandbits(32))
-                for i in range(spec.mutants):
-                    child_seed = rng.getrandbits(64)
-                    approx = mutate(parents[i % len(parents)], child_seed, spec.edits)
-                    circuit_id = f"{golden.name}-m{i}"
-                    approx_text = emit(approx)
-                    for metric in spec.metrics:
-                        algorithms = (
-                            ["direct"]
-                            if metric == metrics.ERROR_RATE
-                            else spec.algorithms
-                        )
-                        for algorithm in algorithms:
-                            tasks.append(
-                                {
-                                    "circuit_id": circuit_id,
-                                    "width": bits,
-                                    "signed": signed,
-                                    "metric": metric,
-                                    "algorithm": algorithm,
-                                    "golden_text": golden_text,
-                                    "approx_text": approx_text,
-                                    "warmup": spec.warmup,
-                                    "seed": child_seed,
-                                    "cache_capacity": spec.cache_capacity,
-                                }
-                            )
+    for kind, bits, signed in itertools.product(spec.kinds, spec.bits, spec.signed):
+        golden = gen_adder(kind, bits, signed)
+        rng = random.Random(f"{spec.seed}:{kind}:{bits}:{int(signed)}")
+        parents = [golden]
+        if spec.evolve_generations > 0:
+            parents = _evolved_parents(golden, spec, rng.getrandbits(32))
+        for i in range(spec.mutants):
+            seed = rng.getrandbits(64)
+            approx = mutate(parents[i % len(parents)], seed, spec.edits)
+            for metric in spec.metrics:
+                direct = metric == metrics.ERROR_RATE
+                for algorithm in ["direct"] if direct else spec.algorithms:
+                    record = BenchRecord(
+                        f"{golden.name}-m{i}", bits, signed, metric, algorithm,
+                        seed=seed,
+                    )
+                    tasks.append((record, golden, approx))
     return tasks
 
 
@@ -303,28 +273,22 @@ def run_corpus(spec: CorpusSpec, workers: int = 1) -> list[BenchRecord]:
     evaluations run in a process pool, one manager per task either way.
     """
     tasks = _build_tasks(spec)
+    run = functools.partial(
+        _run_task, warmup=spec.warmup, cache_capacity=spec.cache_capacity
+    )
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_task, tasks, chunksize=4))
-    else:
-        results = [_run_task(task) for task in tasks]
-    return [BenchRecord(**r) for r in results]
+            return list(pool.map(run, tasks, chunksize=4))
+    return [run(task) for task in tasks]
 
 
 def write_records_csv(records: list[BenchRecord], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for r in records:
-            row = []
-            for col in CSV_COLUMNS:
-                v = getattr(r, col)
-                if isinstance(v, bool):
-                    v = "true" if v else "false"
-                elif v is None:
-                    v = ""
-                row.append(v)
-            writer.writerow(row)
+        for r in records:  # csv writes None as an empty cell
+            row = [getattr(r, col) for col in CSV_COLUMNS]
+            writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in row])
 
 
 def write_records_jsonl(records: list[BenchRecord], path) -> None:

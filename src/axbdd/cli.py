@@ -40,17 +40,13 @@ EXIT_ORACLE = 4
 EXIT_VERIFY = 5
 
 
-def _format_rational(value: Fraction, den_exp: int) -> str:
-    num = int(value * (1 << den_exp))
-    return f"{num}/2^{den_exp} ({float(value):g})"
-
-
 def _format_value(value, input_count: int, relative_den=None) -> str:
     if relative_den is not None:
         frac = Fraction(value) / relative_den
         return f"{frac.numerator}/{frac.denominator} ({float(frac):g})"
     if isinstance(value, Fraction):
-        return _format_rational(value, input_count)
+        num, e = metrics.exact_fields(value, input_count)
+        return f"{num}/2^{e} ({float(value):g})"
     return str(value)
 
 
@@ -68,7 +64,7 @@ def cmd_gen(args) -> int:
 def _load_pair(args):
     golden = parse_file(args.golden)
     approx = parse_file(args.approx)
-    if getattr(args, "signedness", None):
+    if args.signedness:
         forced = args.signedness == "signed"
         golden = dataclasses.replace(golden, signed=forced)
         approx = dataclasses.replace(approx, signed=forced)
@@ -153,15 +149,13 @@ def cmd_bench(args) -> int:
 
 def cmd_search(args) -> int:
     seed_circuit = parse_file(args.seed_circuit)
-    tau = (
-        range_threshold(seed_circuit, args.tau_range)
-        if args.tau_range is not None
-        else Fraction(args.tau)
-    )
+    tau = args.tau
+    if args.tau_range is not None:
+        tau = range_threshold(seed_circuit, args.tau_range)
     if tau < 0:
         raise SystemExit("threshold must be non-negative")
     if args.metric == metrics.WCE:
-        if Fraction(tau).denominator != 1:
+        if tau.denominator != 1:
             raise SystemExit("wce threshold must be an integer")
         tau = int(tau)
     cfg = SearchConfig(
@@ -185,9 +179,7 @@ def cmd_search(args) -> int:
         write_history(history, args.log)
     last = history[-1]
     err = _format_value(
-        Fraction(last.best_error_numerator, 1 << last.best_error_denominator_exp)
-        if last.best_error_denominator_exp
-        else last.best_error_numerator,
+        metrics.exact_value(last.best_error_numerator, last.best_error_denominator_exp),
         seed_circuit.input_count,
     )
     print(
@@ -206,6 +198,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="axbdd",
@@ -220,9 +219,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("eval", help="evaluate one error metric on a circuit pair")
-    p.add_argument("--golden", required=True)
-    p.add_argument("--approx", required=True)
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--golden", required=True)
+    pair.add_argument("--approx", required=True)
+    pair.add_argument("--max-oracle-bits", type=int, default=DEFAULT_ORACLE_LIMIT)
+    pair.add_argument(
+        "--signedness",
+        choices=("signed", "unsigned"),
+        help="override both circuits' output interpretation",
+    )
+
+    p = sub.add_parser(
+        "eval", parents=[pair], help="evaluate one error metric on a circuit pair"
+    )
     p.add_argument("--metric", choices=metrics.METRICS, default=metrics.WCE)
     p.add_argument(
         "--algo",
@@ -234,24 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="scale by the output range (2^m - 1)",
     )
-    p.add_argument("--max-oracle-bits", type=int, default=DEFAULT_ORACLE_LIMIT)
-    p.add_argument(
-        "--signedness",
-        choices=("signed", "unsigned"),
-        help="override both circuits' output interpretation",
-    )
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser(
-        "verify", help="run all algorithms plus the oracle and demand agreement"
-    )
-    p.add_argument("--golden", required=True)
-    p.add_argument("--approx", required=True)
-    p.add_argument("--max-oracle-bits", type=int, default=DEFAULT_ORACLE_LIMIT)
-    p.add_argument(
-        "--signedness",
-        choices=("signed", "unsigned"),
-        help="override both circuits' output interpretation",
+        "verify",
+        parents=[pair],
+        help="run all algorithms plus the oracle and demand agreement",
     )
     p.set_defaults(func=cmd_verify)
 
@@ -266,10 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-circuit", required=True)
     p.add_argument("--metric", choices=(metrics.WCE, metrics.MAE), default=metrics.WCE)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--tau", help="absolute threshold (integer or a/b)")
+    group.add_argument(
+        "--tau", type=_fraction, help="absolute threshold (integer or a/b)"
+    )
     group.add_argument(
         "--tau-range",
-        type=Fraction,
+        type=_fraction,
         help="threshold as a fraction of the output range, e.g. 0.2",
     )
     p.add_argument("--algo", choices=metrics.ALGORITHMS, default=metrics.NOABS)

@@ -16,7 +16,8 @@ Three families compute identical values by different routes:
 Worst-case searches walk the bits from the most significant end,
 keeping a witness function of the assignments that still attain the
 running maximum.  All results are exact: integers for WCE, rationals
-with denominator 2^n for MAE and error rate.
+with denominator 2^n for MAE and error rate, stored as numerator / 2^e
+by :func:`exact_fields` and read back by :func:`exact_value`.
 """
 
 from __future__ import annotations
@@ -66,6 +67,19 @@ class ErrorValue:
         if self.kind == ERROR_RATE:
             raise ValueError("error rate is already a probability")
         return Fraction(self.value) / ((1 << self.output_count) - 1)
+
+
+def exact_fields(value: int | Fraction, input_count: int) -> tuple[int, int]:
+    """``(numerator, e)`` with value = numerator / 2^e: e is 0 for an
+    integer, ``input_count`` for a rational (its denominator divides 2^n)."""
+    if isinstance(value, Fraction):
+        return int(value * (1 << input_count)), input_count
+    return int(value), 0
+
+
+def exact_value(numerator: int, e: int) -> int | Fraction:
+    """Inverse of :func:`exact_fields`: an integer when ``e`` is 0."""
+    return Fraction(numerator, 1 << e) if e else numerator
 
 
 def _require_difference_word(eps: BddWord) -> None:

@@ -16,6 +16,7 @@ import random
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from numbers import Real
 
 from . import metrics
 from .adders import mutate
@@ -29,8 +30,8 @@ class SearchConfig:
     """Knobs of one search run.
 
     ``threshold`` is an integer for WCE and a rational for MAE.  At
-    least one of ``max_generations`` / ``max_seconds`` must be set;
-    whichever trips first ends the run.
+    least one of ``max_generations`` (an integer >= 0) / ``max_seconds``
+    (a finite number >= 0) must be set; whichever trips first ends the run.
     """
 
     metric: str = metrics.WCE
@@ -55,6 +56,11 @@ class SearchConfig:
             raise ValueError("edits per mutation must be >= 1")
         if self.max_generations is None and self.max_seconds is None:
             raise ValueError("set max_generations and/or max_seconds")
+        gens, secs = self.max_generations, self.max_seconds
+        if gens is not None and (type(gens) is not int or gens < 0):
+            raise ValueError("max_generations must be None or an integer >= 0")
+        if secs is not None and not (isinstance(secs, Real) and 0 <= secs < math.inf):
+            raise ValueError("max_seconds must be None or a finite number >= 0")
 
 
 @dataclass
@@ -79,12 +85,6 @@ def range_threshold(circuit: Circuit, fraction) -> int:
     if not 0 <= frac <= 1:
         raise ValueError("fraction must lie in [0, 1]")
     return int(frac * ((1 << circuit.output_count) - 1))
-
-
-def _error_fields(value, input_count: int) -> tuple[int, int]:
-    if isinstance(value, Fraction):
-        return int(value * (1 << input_count)), input_count
-    return int(value), 0
 
 
 def run_search(
@@ -122,7 +122,7 @@ def run_search(
         GenerationRecord(
             0,
             parent_fitness,
-            *_error_fields(parent_error, seed_circuit.input_count),
+            *metrics.exact_fields(parent_error, seed_circuit.input_count),
             evals,
             0,
         )
@@ -161,7 +161,7 @@ def run_search(
             GenerationRecord(
                 generation,
                 int(parent_fitness),
-                *_error_fields(parent_error, seed_circuit.input_count),
+                *metrics.exact_fields(parent_error, seed_circuit.input_count),
                 evals,
                 time.perf_counter_ns() - start,
             )

@@ -109,6 +109,10 @@ def test_per_record_failure_is_captured(monkeypatch):
     healthy = [r for r in records if r.error is None]
     assert len(failed) == 2  # one per mutant, the 'ones' algorithm
     assert all("synthetic fault" in r.error for r in failed)
+    for r in failed:  # a failed record carries no part of a measurement
+        assert (r.load_ns, r.sub_ns, r.calc_ns) == (0, 0, 0)
+        assert (r.load_nodes, r.sub_nodes, r.calc_nodes) == (0, 0, 0)
+        assert r.result is None and r.result_num is None
     assert len(healthy) == 4
 
 
@@ -220,7 +224,8 @@ def test_workers_match_inline_results():
     spec = small_spec(mutants=2)
     inline = run_corpus(spec, workers=1)
     pooled = run_corpus(spec, workers=2)
-    keys = ("circuit_id", "metric", "algorithm", "result_num", "result_den_exp")
+    keys = ("circuit_id", "metric", "algorithm", "result_num", "result_den_exp",
+            "seed", "width", "signed", "load_nodes", "sub_nodes", "calc_nodes")
     fixed = lambda rs: [[getattr(r, k) for k in keys] for r in rs]
     assert fixed(inline) == fixed(pooled)
 

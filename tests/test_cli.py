@@ -270,6 +270,26 @@ def test_search_rejects_fractional_wce_tau(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("option", ["--tau", "--tau-range"])
+def test_search_rejects_zero_denominator_tau(tmp_path, capsys, option):
+    seed_file = tmp_path / "seed.net"
+    seed_file.write_text(emit(gen_adder("rca", 3, False)))
+    code = run_cli(["search", "--seed-circuit", str(seed_file), option, "1/0"])
+    assert code == 2
+    assert "1/0" in capsys.readouterr().err
+
+
+def test_search_rejects_nan_time_budget(tmp_path, capsys):
+    seed_file = tmp_path / "seed.net"
+    seed_file.write_text(emit(gen_adder("rca", 2, False)))
+    code = run_cli(
+        ["search", "--seed-circuit", str(seed_file), "--tau", "0",
+         "--time-budget", "nan"]
+    )
+    assert code == 2
+    assert "max_seconds" in capsys.readouterr().err
+
+
 def test_search_tau_range(tmp_path, capsys):
     seed_file = tmp_path / "seed.net"
     seed_file.write_text(emit(gen_adder("rca", 3, False)))

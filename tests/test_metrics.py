@@ -248,3 +248,16 @@ def test_algorithm_names_recorded(identity2, truncated2):
     assert wce_ones(eps).algorithm == "ones"
     assert wce_noabs(eps).algorithm == "noabs"
     assert set(ALGORITHMS) == {"baseline", "ones", "noabs"}
+
+
+def test_exact_fields_round_trip():
+    cases = [
+        (37, 16, (37, 0)),  # an integer WCE
+        (Fraction(2217, 64), 16, (2217 << 10, 16)),
+        (Fraction(2), 16, (2 << 16, 16)),
+        (0, 16, (0, 0)),
+    ]
+    for value, input_count, fields in cases:
+        assert metrics.exact_fields(value, input_count) == fields
+        back = metrics.exact_value(*fields)
+        assert back == value and type(back) is type(value)
