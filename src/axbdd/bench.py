@@ -21,6 +21,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
+from numbers import Real
 
 from . import metrics
 from .adders import ADDER_KINDS, gen_adder, mutate
@@ -113,14 +114,13 @@ class CorpusSpec:
         for algo in self.algorithms:
             if algo not in metrics.ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}")
-        if self.mutants < 0:
-            raise ValueError("mutant count must be non-negative")
-        if self.edits < 1:
-            raise ValueError("edits per mutation must be >= 1")
-        if self.evolve_generations < 0:
-            raise ValueError("evolve_generations must be non-negative")
-        if not 0 <= self.evolve_tau_range <= 1:
-            raise ValueError("evolve_tau_range must lie in [0, 1]")
+        for key, least in (("mutants", 0), ("edits", 1), ("evolve_generations", 0)):
+            count = getattr(self, key)
+            if type(count) is not int or count < least:
+                raise ValueError(f"{key} must be an integer >= {least}, got {count!r}")
+        tau = self.evolve_tau_range
+        if isinstance(tau, bool) or not (isinstance(tau, Real) and 0 <= tau <= 1):
+            raise ValueError(f"evolve_tau_range must be a number in [0, 1], got {tau!r}")
         capacity = self.cache_capacity
         if capacity is not None and (type(capacity) is not int or capacity < 1):
             raise ValueError("cache_capacity must be a positive integer or None")

@@ -6,6 +6,13 @@ against the original seed, and keeps the smallest candidate whose error
 stays within the threshold.  Candidates over the threshold get infinite
 fitness; offspring win ties with the parent so the search can drift
 across equal-size plateaus.
+
+All candidates share one BDD manager, so a candidate reuses the nodes
+and cache entries of the ones before it.  The node store only grows,
+so once it holds more than ``NODE_LIMIT`` nodes the search starts a
+fresh manager and recompiles the golden circuit into it; the old one is
+freed with everything it held.  BDDs are canonical and every metric is
+exact, so this bounds memory without changing a score or the trajectory.
 """
 
 from __future__ import annotations
@@ -24,12 +31,18 @@ from .bdd import BddManager
 from .bitvec import compile_circuit, subtract
 from .circuit import Circuit
 
+# Internal nodes past which the next candidate is scored on a fresh
+# manager.  Smaller limits rebuild often enough that the cold caches
+# show in the per-evaluation time; larger ones only cost memory.
+NODE_LIMIT = 100_000
+
 
 @dataclass
 class SearchConfig:
     """Knobs of one search run.
 
-    ``threshold`` is an integer for WCE and a rational for MAE.  At
+    ``threshold`` is a finite number >= 0: an integer for WCE and a
+    rational for MAE.  ``offspring`` and ``edits`` are integers >= 1.  At
     least one of ``max_generations`` (an integer >= 0) / ``max_seconds``
     (a finite number >= 0) must be set; whichever trips first ends the run.
     """
@@ -48,12 +61,13 @@ class SearchConfig:
             raise ValueError(f"search metric must be wce or mae, got {self.metric!r}")
         if self.algorithm not in metrics.ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.threshold < 0:
-            raise ValueError("threshold must be non-negative")
-        if self.offspring < 1:
-            raise ValueError("offspring count must be >= 1")
-        if self.edits < 1:
-            raise ValueError("edits per mutation must be >= 1")
+        tau = self.threshold
+        if isinstance(tau, bool) or not (isinstance(tau, Real) and 0 <= tau < math.inf):
+            raise ValueError("threshold must be a finite number >= 0")
+        if type(self.offspring) is not int or self.offspring < 1:
+            raise ValueError("offspring must be an integer >= 1")
+        if type(self.edits) is not int or self.edits < 1:
+            raise ValueError("edits per mutation must be an integer >= 1")
         if self.max_generations is None and self.max_seconds is None:
             raise ValueError("set max_generations and/or max_seconds")
         gens, secs = self.max_generations, self.max_seconds
@@ -98,10 +112,19 @@ def run_search(
     first parent.  ``start_from`` resumes from an earlier result while
     keeping the original seed as the golden reference.  Deterministic
     for a given config seed (timings aside).
+
+    Memory stays bounded however long the search runs: once the shared
+    manager holds more than ``NODE_LIMIT`` nodes, the next candidate is
+    scored on a fresh one with the golden circuit recompiled, which
+    changes no score and so no result.
     """
     rng = random.Random(cfg.seed)
-    manager = BddManager(seed_circuit.input_count)
-    golden = compile_circuit(manager, seed_circuit)
+
+    def fresh_golden():
+        manager = BddManager(seed_circuit.input_count)
+        return manager, compile_circuit(manager, seed_circuit)
+
+    manager, golden = fresh_golden()
     start = time.perf_counter_ns()
 
     parent = start_from if start_from is not None else seed_circuit
@@ -110,6 +133,9 @@ def run_search(
     parent_error = zero
 
     def score(candidate: Circuit) -> int | Fraction:
+        nonlocal manager, golden
+        if manager.node_count > NODE_LIMIT:
+            manager, golden = fresh_golden()
         eps = subtract(golden, compile_circuit(manager, candidate))
         return metrics.compute(eps, cfg.metric, cfg.algorithm).value
 

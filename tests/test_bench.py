@@ -1,5 +1,6 @@
 import csv
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -199,6 +200,14 @@ def test_spec_validation():
     for signed in (["x"], [1]):
         with pytest.raises(ValueError, match="signed"):
             CorpusSpec(signed=signed)
+    for key in ("mutants", "edits", "evolve_generations"):
+        for count in (1.5, True, "2"):
+            with pytest.raises(ValueError, match=key):
+                CorpusSpec.from_dict({key: count})
+    for tau in ("0.5", float("nan"), True):
+        with pytest.raises(ValueError, match="evolve_tau_range"):
+            CorpusSpec.from_dict({"evolve_tau_range": tau})
+    CorpusSpec(evolve_tau_range=Fraction(1, 5), evolve_generations=0, mutants=0)
     with pytest.raises(ValueError):
         CorpusSpec.from_dict({"mutants": 2, "surprise": 1})
 

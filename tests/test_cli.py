@@ -333,6 +333,13 @@ def test_bench_bad_spec_exits_2(tmp_path, capsys):
     assert run_cli(["bench", "--spec", str(spec_file)]) == 2
 
 
+def test_bench_fractional_mutants_exits_2(tmp_path, capsys):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"kinds": ["rca"], "bits": [3], "mutants": 1.5}))
+    assert run_cli(["bench", "--spec", str(spec_file)]) == 2
+    assert "mutants" in capsys.readouterr().err
+
+
 def test_unknown_command_exits_2(capsys):
     assert run_cli(["frobnicate"]) == 2
 

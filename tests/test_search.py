@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from axbdd import SearchConfig, gen_adder, oracle_metrics, range_threshold, run_search
+from axbdd import search
 from axbdd.search import write_history
 
 
@@ -116,6 +117,16 @@ def test_config_validation():
     for generations in (-1, 2.5, True, "3"):
         with pytest.raises(ValueError, match="max_generations"):
             SearchConfig(metric="wce", threshold=0, max_generations=generations)
+    # A NaN threshold would reject every candidate and return the seed.
+    for threshold in (float("nan"), float("inf"), "3", True):
+        with pytest.raises(ValueError, match="threshold"):
+            SearchConfig(metric="wce", threshold=threshold, max_generations=1)
+    for field in ("offspring", "edits"):
+        for count in (2.5, True, "2"):
+            with pytest.raises(ValueError, match=field):
+                SearchConfig(metric="wce", threshold=0, max_generations=1,
+                             **{field: count})
+    SearchConfig(metric="mae", threshold=Fraction(1, 3), max_generations=1)
     SearchConfig(metric="wce", threshold=0, max_generations=0, max_seconds=0)
 
 
@@ -150,3 +161,51 @@ def test_write_history_json_lines(tmp_path):
         "evals",
         "elapsed_ns",
     }
+
+
+@pytest.mark.parametrize(
+    "cfg, resume",
+    [
+        (SearchConfig(metric="wce", threshold=6, max_generations=60, seed=4), False),
+        (SearchConfig(metric="mae", threshold=Fraction(3, 2), algorithm="ones",
+                      max_generations=60, seed=7), False),
+        (SearchConfig(metric="wce", threshold=6, max_generations=40, seed=3), True),
+    ],
+    ids=["wce-noabs", "mae-ones", "resume"],
+)
+def test_rebuilt_manager_keeps_the_trajectory(cfg, resume, monkeypatch):
+    seed = gen_adder("rca", 5, False)
+    start = None
+    if resume:
+        start, _ = run_search(seed, SearchConfig(metric="wce", threshold=6,
+                                                 max_generations=40, seed=2))
+    expected_best, expected = run_search(seed, cfg, start_from=start)
+
+    built, counts = [], []
+
+    class CountingManager(search.BddManager):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    compile_circuit = search.compile_circuit
+
+    def recording_compile(manager, circuit):
+        counts.append((manager, manager.node_count))
+        return compile_circuit(manager, circuit)
+
+    monkeypatch.setattr(search, "BddManager", CountingManager)
+    monkeypatch.setattr(search, "compile_circuit", recording_compile)
+    monkeypatch.setattr(search, "NODE_LIMIT", 300)
+    best, history = run_search(seed, cfg, start_from=start)
+
+    assert best == expected_best
+    assert strip_timing(history) == strip_timing(expected)
+    assert len(built) > 1
+    # Nodes in the manager as each circuit is compiled into it (its golden
+    # first): the limit is checked before every candidate, so no manager
+    # ends more than one candidate's nodes past it.
+    added = [(b if n is m else m.node_count) - a
+             for (m, a), (n, b) in zip(counts, counts[1:] + [(None, 0)])]
+    assert all(count <= search.NODE_LIMIT for _, count in counts)
+    assert max(m.node_count for m in built) <= search.NODE_LIMIT + max(added)
