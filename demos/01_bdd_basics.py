@@ -30,9 +30,9 @@ print("  one satisfying assignment:", bits)
 print("  x0 AND NOT x0 is FALSE:", (x0 & ~x0) is m.false)
 assert (x0 & ~x0) is m.false
 
-print("\nnodes created so far:", m.nodes_created())
-m.reset_node_counter()
+before = m.nodes_created()
+print("\nnodes created so far:", before)
 xor3 = x0 ^ x1 ^ x2
-print("building x0^x1^x2 adds", m.nodes_created(), "nodes")
+print("building x0^x1^x2 adds", m.nodes_created() - before, "nodes")
 print("conjunction count without building the product:",
       m.sat_count_and(majority, xor3))

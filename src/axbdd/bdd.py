@@ -14,10 +14,10 @@ counting as soon as its last handle and its last other owner are gone.
 
 Each node is kept once, as the ``(level, low, high)`` tuple that also
 keys it in the unique table.  The store is append-only, so the number
-of nodes created since any point (terminals excluded) is read off its
-length; callers use that to attribute node construction to phases of a
-larger computation.  The operation cache is one dict, cleared when it
-reaches ``cache_capacity`` entries.
+of nodes created (terminals excluded) is read off its length; callers
+attribute node construction to a phase of a larger computation by the
+difference of two readings.  The operation cache is one dict, cleared
+when it reaches ``cache_capacity`` entries.
 
 A binary operation is coded by its 4-bit truth table, and what it
 degenerates to on a terminal or on equal operands by a 2-bit one.  Model
@@ -133,9 +133,9 @@ class BddManager:
     The variable order is fixed at construction: variable ``i`` sits at
     level ``i``.  Node ``u`` is ``_nodes[u]``, the ``(level, low, high)``
     tuple that is also its key in the unique table.  The store is
-    append-only, so ``nodes_created`` and ``node_count`` are read off its
-    length.  Operations are coded by their truth tables, and every model
-    count, cached or not, is over all ``var_count`` variables.
+    append-only, so ``nodes_created`` is read off its length.  Operations
+    are coded by their truth tables, and every model count, cached or
+    not, is over all ``var_count`` variables.
 
     ``cache_capacity`` bounds the binary-operation cache only (the node
     store itself is never evicted): the cache is one dict, cleared when
@@ -160,7 +160,6 @@ class BddManager:
         # every variable; they are not in the unique table.
         self._nodes = [(var_count, 0, 0), (var_count, 1, 1)]
         self._unique: dict[tuple[int, int, int], int] = {}
-        self._counted_from = 2
         # Node index -> its live handle; an entry goes when its handle dies.
         self._handles: weakref.WeakValueDictionary[int, NodeRef] = (
             weakref.WeakValueDictionary()
@@ -266,15 +265,7 @@ class BddManager:
     # -- bookkeeping ----------------------------------------------------------
 
     def nodes_created(self) -> int:
-        """Internal nodes created since construction or the last reset."""
-        return len(self._nodes) - self._counted_from
-
-    def reset_node_counter(self) -> None:
-        self._counted_from = len(self._nodes)
-
-    @property
-    def node_count(self) -> int:
-        """Internal nodes currently in the unique table."""
+        """Internal nodes created since construction, all still stored."""
         return len(self._nodes) - 2
 
     def clear_caches(self) -> None:

@@ -1,11 +1,11 @@
 """Benchmark harness: per-phase timing and node counts over a mutant corpus.
 
-Every evaluation runs on a fresh manager and is split into three
-phases: *loading* (netlist to BDD words), *subtracting* (difference
-word construction) and *calculating* (the metric algorithm itself).
-Node-creation counters are reset at each phase boundary so the node
-columns attribute construction work to the phase that caused it.  A
-task pairs a :class:`BenchRecord` naming the evaluation with its circuits.
+Every evaluation is one :func:`axbdd.metrics.evaluate_error` call on a
+fresh manager, split into three phases: *loading* (netlist to BDD
+words), *subtracting* (difference word construction) and *calculating*
+(the metric algorithm itself); a phase's node count is the growth of
+the manager's node store across it.  A task pairs a
+:class:`BenchRecord` naming the evaluation with its circuits.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import itertools
 import json
 import random
 import statistics
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
@@ -26,7 +25,6 @@ from numbers import Real
 from . import metrics
 from .adders import ADDER_KINDS, gen_adder, mutate
 from .bdd import BddManager
-from .bitvec import compile_circuit, subtract
 from .circuit import Circuit
 from .search import SearchConfig, range_threshold, run_search
 
@@ -99,21 +97,21 @@ class CorpusSpec:
     cache_capacity: int | None = 1 << 16
 
     def __post_init__(self):
-        for kind in self.kinds:
-            if kind not in ADDER_KINDS:
-                raise ValueError(f"unknown adder kind {kind!r}")
-        for width in self.bits:
-            if type(width) is not int or not 1 <= width <= 32:
-                raise ValueError(f"bits must be integers in 1..32, got {width!r}")
-        for flag in self.signed:
-            if type(flag) is not bool:
-                raise ValueError(f"signed must be booleans, got {flag!r}")
-        for metric in self.metrics:
-            if metric not in metrics.METRICS:
-                raise ValueError(f"unknown metric {metric!r}")
-        for algo in self.algorithms:
-            if algo not in metrics.ALGORITHMS:
-                raise ValueError(f"unknown algorithm {algo!r}")
+        for key, options in (
+            ("kinds", ADDER_KINDS),
+            ("bits", range(1, 33)),
+            ("signed", (False, True)),
+            ("metrics", metrics.METRICS),
+            ("algorithms", metrics.ALGORITHMS),
+        ):
+            values = getattr(self, key)
+            if type(values) is not list:
+                raise ValueError(f"{key} must be a list, got {values!r}")
+            for v in values:  # by type too: 8.0 and True are not bit widths
+                if type(v) is not type(options[0]) or v not in options:
+                    raise ValueError(f"{key} entry {v!r} is not in {options}")
+        if type(self.warmup) is not bool:
+            raise ValueError(f"warmup must be true or false, got {self.warmup!r}")
         for key, least in (("mutants", 0), ("edits", 1), ("evolve_generations", 0)):
             count = getattr(self, key)
             if type(count) is not int or count < least:
@@ -127,6 +125,8 @@ class CorpusSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CorpusSpec":
+        if type(data) is not dict:
+            raise ValueError(f"a corpus spec must be a JSON object, got {data!r}")
         unknown = set(data) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise ValueError(f"unknown corpus spec keys: {sorted(unknown)}")
@@ -138,69 +138,35 @@ class CorpusSpec:
             return cls.from_dict(json.load(fh))
 
 
-def _evaluate_once(
-    golden: Circuit,
-    approx: Circuit,
-    metric: str,
-    algorithm: str,
-    cache_capacity: int | None = None,
-) -> dict:
-    """One fresh-manager evaluation; returns the measured record fields.
-
-    Garbage collection is paused for the timed section so allocator
-    pauses do not land on random phases.  No collection is forced
-    beforehand: earlier managers were already freed by reference
-    counting when their last handle went.
-    """
-    manager = BddManager(golden.input_count, cache_capacity=cache_capacity)
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        t0 = time.perf_counter_ns()
-        f_word = compile_circuit(manager, golden)
-        fp_word = compile_circuit(manager, approx)
-        t1 = time.perf_counter_ns()
-        load_nodes = manager.nodes_created()
-        manager.reset_node_counter()
-        if metric == metrics.ERROR_RATE:
-            t2 = t1
-            sub_nodes = 0
-            result = metrics.error_rate(f_word, fp_word)
-        else:
-            eps = subtract(f_word, fp_word)
-            t2 = time.perf_counter_ns()
-            sub_nodes = manager.nodes_created()
-            manager.reset_node_counter()
-            result = metrics.compute(eps, metric, algorithm)
-        t3 = time.perf_counter_ns()
-        calc_nodes = manager.nodes_created()
-    finally:
-        if was_enabled:
-            gc.enable()
-    num, den_exp = metrics.exact_fields(result.value, golden.input_count)
-    return dict(
-        load_ns=t1 - t0, sub_ns=t2 - t1, calc_ns=t3 - t2,
-        load_nodes=load_nodes, sub_nodes=sub_nodes, calc_nodes=calc_nodes,
-        result_num=num, result_den_exp=den_exp,
-    )
-
-
 def _run_task(task, warmup: bool, cache_capacity: int | None) -> BenchRecord:
     """Worker entry point: measure one ``(record, golden, approx)`` task.
 
-    Returns a copy of the record with the measured fields filled in; a
-    failure sets only ``error``, so a failed record carries no partial
-    measurement.  A truthy ``warmup`` discards one evaluation first.
+    Each evaluation runs on a fresh manager with garbage collection
+    paused, so allocator pauses do not land on random phases; earlier
+    managers were already freed by reference counting.  Returns a copy
+    of the record with the measured fields filled in; a failure sets
+    only ``error``.  A truthy ``warmup`` discards one evaluation first.
     """
     record, golden, approx = task
-    args = (golden, approx, record.metric, record.algorithm, cache_capacity)
+    was_enabled = gc.isenabled()
     try:
-        if warmup:
-            _evaluate_once(*args)
-        measured = _evaluate_once(*args)
+        for _ in range(2 if warmup else 1):
+            result = None  # frees the warm-up's manager before the next is built
+            gc.disable()
+            try:
+                result = metrics.evaluate_error(
+                    golden, approx, record.metric, record.algorithm,
+                    BddManager(golden.input_count, cache_capacity=cache_capacity),
+                )
+            finally:
+                if was_enabled:
+                    gc.enable()
     except Exception as exc:  # per-record failures must not stop the run
         return replace(record, error=f"{type(exc).__name__}: {exc}")
-    return replace(record, **measured)
+    num, den_exp = metrics.exact_fields(result.value, golden.input_count)
+    return replace(
+        record, **result.phases._asdict(), result_num=num, result_den_exp=den_exp
+    )
 
 
 _CHECKPOINTS = 4
@@ -371,7 +337,8 @@ def format_summary(rows: list[SummaryRow], records: list[BenchRecord]) -> str:
     header = (
         f"{'metric':<7}{'width':>6}{'algorithm':>11}{'recs':>6}"
         f"{'mean total [ms]':>17}{'speedup':>9}"
-        f"{'load':>10}{'sub':>10}{'calc':>10}  (mean nodes)"
+        f"{'load [ms]':>11}{'sub [ms]':>10}{'calc [ms]':>11}"
+        f"{'load nodes':>12}{'sub nodes':>11}{'calc nodes':>12}"
     )
     lines = [header, "-" * len(header)]
     for row in rows:
@@ -383,8 +350,10 @@ def format_summary(rows: list[SummaryRow], records: list[BenchRecord]) -> str:
         lines.append(
             f"{row.metric:<7}{row.width:>6}{row.algorithm:>11}{row.records:>6}"
             f"{row.mean_total_ns / 1e6:>17.3f}{speedup:>9}"
-            f"{row.mean_load_nodes:>10.0f}{row.mean_sub_nodes:>10.0f}"
-            f"{row.mean_calc_nodes:>10.0f}"
+            f"{row.mean_load_ns / 1e6:>11.3f}{row.mean_sub_ns / 1e6:>10.3f}"
+            f"{row.mean_calc_ns / 1e6:>11.3f}"
+            f"{row.mean_load_nodes:>12.0f}{row.mean_sub_nodes:>11.0f}"
+            f"{row.mean_calc_nodes:>12.0f}"
         )
     failed = sum(1 for r in records if r.error is not None)
     if failed:

@@ -65,7 +65,7 @@ class InterfaceMismatchError(ValueError):
 
 
 class OracleLimitError(ValueError):
-    """Exhaustive enumeration refused: input count above the limit."""
+    """Exhaustive enumeration refused: too many inputs or outputs."""
 
 
 @dataclass(frozen=True)
@@ -309,8 +309,6 @@ def check_interface(f: Circuit, fp: Circuit) -> None:
 
 def _batch_values(c: Circuit, idx: np.ndarray) -> np.ndarray:
     """Output integers for a batch of assignment indices (input i = bit i)."""
-    if c.output_count > 62:
-        raise ValueError("output width too large for the vectorized oracle")
     one = np.uint64(1)
     wires: dict[str, np.ndarray] = {}
     for i, name in enumerate(c.inputs):
@@ -356,13 +354,17 @@ def oracle_metrics(
 
     Vectorized over blocks of assignments; exact integer accumulation.
     Refuses input counts above ``limit`` (enumeration time doubles per
-    extra input).
+    extra input) and words over 62 bits, whose differences int64 cannot hold.
     """
     check_interface(f, fp)
     n = f.input_count
     if n > limit:
         raise OracleLimitError(
             f"{n} inputs exceed the oracle limit of {limit}"
+        )
+    if f.output_count > 62:
+        raise OracleLimitError(
+            f"{f.output_count} outputs exceed the oracle's 62-bit words"
         )
     total = 1 << n
     wce = 0

@@ -106,10 +106,11 @@ def cmd_verify(args) -> int:
             results[(metric, algo)] = metrics.evaluate_error(
                 golden, approx, metric, algo, manager
             ).value
-    oracle = None
-    if golden.input_count <= args.max_oracle_bits:
+    try:
         wce, mae, _ = oracle_metrics(golden, approx, limit=args.max_oracle_bits)
         oracle = {metrics.WCE: wce, metrics.MAE: mae}
+    except OracleLimitError:
+        oracle = None
 
     failures = []
     for metric in (metrics.WCE, metrics.MAE):

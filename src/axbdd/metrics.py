@@ -18,12 +18,15 @@ keeping a witness function of the assignments that still attain the
 running maximum.  All results are exact: integers for WCE, rationals
 with denominator 2^n for MAE and error rate, stored as numerator / 2^e
 by :func:`exact_fields` and read back by :func:`exact_value`.
+:func:`evaluate_error` runs the whole pipeline and times its phases.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bdd import BddManager, NodeRef
 from .bitvec import BddWord, add, compile_circuit, subtract
@@ -41,6 +44,17 @@ METRICS = (WCE, MAE, ERROR_RATE)
 ALGORITHMS = (BASELINE, ONES, NOABS)
 
 
+class Phases(NamedTuple):
+    """Wall time and nodes created by loading, subtracting and calculating."""
+
+    load_ns: int
+    sub_ns: int
+    calc_ns: int
+    load_nodes: int
+    sub_nodes: int
+    calc_nodes: int
+
+
 @dataclass(frozen=True)
 class ErrorValue:
     """One exact metric result.
@@ -48,7 +62,8 @@ class ErrorValue:
     ``value`` is an unbounded integer for WCE and an exact rational
     (denominator 2^n) for MAE and error rate.  ``witness``, when
     present, is a BDD whose satisfying assignments attain the value
-    (WCE) or exhibit a mismatch (error rate).
+    (WCE) or exhibit a mismatch (error rate).  ``phases`` is set by
+    :func:`evaluate_error` only and takes no part in equality.
     """
 
     kind: str
@@ -57,6 +72,7 @@ class ErrorValue:
     input_count: int
     output_count: int
     witness: NodeRef | None = None
+    phases: Phases | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.value < 0:
@@ -275,12 +291,24 @@ def evaluate_error(
 
     A fresh manager is created unless one is supplied (reusing a
     manager across many candidates shares the node store and caches).
+    The result's ``phases`` holds each phase's wall time and the nodes
+    it added to the store; error rate has no subtracting phase, so its
+    ``sub_ns`` and ``sub_nodes`` are 0.
     """
     check_interface(golden, approx)
     if manager is None:
         manager = BddManager(golden.input_count)
+    n0, t0 = manager.nodes_created(), time.perf_counter_ns()
     f_word = compile_circuit(manager, golden)
     fp_word = compile_circuit(manager, approx)
+    n1, t1 = manager.nodes_created(), time.perf_counter_ns()
     if metric == ERROR_RATE:
-        return error_rate(f_word, fp_word)
-    return compute(subtract(f_word, fp_word), metric, algorithm)
+        n2, t2 = n1, t1
+        result = error_rate(f_word, fp_word)
+    else:
+        eps = subtract(f_word, fp_word)
+        n2, t2 = manager.nodes_created(), time.perf_counter_ns()
+        result = compute(eps, metric, algorithm)
+    t3, n3 = time.perf_counter_ns(), manager.nodes_created()
+    phases = Phases(t1 - t0, t2 - t1, t3 - t2, n1 - n0, n2 - n1, n3 - n2)
+    return replace(result, phases=phases)

@@ -134,7 +134,7 @@ def run_search(
 
     def score(candidate: Circuit) -> int | Fraction:
         nonlocal manager, golden
-        if manager.node_count > NODE_LIMIT:
+        if manager.nodes_created() > NODE_LIMIT:
             manager, golden = fresh_golden()
         eps = subtract(golden, compile_circuit(manager, candidate))
         return metrics.compute(eps, cfg.metric, cfg.algorithm).value

@@ -244,11 +244,9 @@ def _check_node_counter(capacity):
     assert m.nodes_created() == 1
     m.var(0)
     assert m.nodes_created() == 1  # cache hit creates nothing
-    m.reset_node_counter()
-    before = m.node_count
     m.apply("xor", m.var(1), m.var(2))
-    created = m.node_count - before
-    assert m.nodes_created() == created > 0
+    created = m.nodes_created()
+    assert created > 1
     m.clear_caches()
     assert m.nodes_created() == created
     m.apply("xor", m.var(1), m.var(2))
@@ -265,7 +263,7 @@ def test_bounded_cache_changes_nothing_but_speed():
         pool = random_formula_pool(m, rng_local, extra=60)
         if capacity is not None:
             assert len(m._apply_cache) <= capacity
-        results.append(([m.sat_count(node) for node, _ in pool], m.node_count))
+        results.append(([m.sat_count(node) for node, _ in pool], m.nodes_created()))
     assert results[0] == results[1] == results[2]
 
 
@@ -370,7 +368,7 @@ def test_intern_table_holds_only_live_handles(gc_disabled):
         kept.append(pool[-1][0])
         del pool
     live = {id(h) for h in kept}
-    assert len(m._handles) == len(live) < m.node_count
+    assert len(m._handles) == len(live) < m.nodes_created()
 
 
 # -- recursion depth -----------------------------------------------------------

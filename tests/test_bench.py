@@ -173,7 +173,18 @@ def test_summarize_synthetic_equal_timings():
 
 
 def test_format_summary_mentions_reference_and_flags(records):
-    text = format_summary(summarize(records), records)
+    rows = summarize(records)
+    text = format_summary(rows, records)
+    header, _, *lines = text.splitlines()
+    for column in ("load [ms]", "sub [ms]", "calc [ms]", "load nodes", "calc nodes"):
+        assert column in header
+    for row, line in zip(rows, lines):
+        phases = (row.mean_load_ns, row.mean_sub_ns, row.mean_calc_ns)
+        assert line.split()[6:9] == [f"{ns / 1e6:.3f}" for ns in phases]
+        assert line.split()[9:] == [
+            f"{n:.0f}"
+            for n in (row.mean_load_nodes, row.mean_sub_nodes, row.mean_calc_nodes)
+        ]
     assert "3.47x" in text and "4.20x" in text
     assert "loading-time share" in text
     assert "31.04x" in text
@@ -207,6 +218,16 @@ def test_spec_validation():
     for tau in ("0.5", float("nan"), True):
         with pytest.raises(ValueError, match="evolve_tau_range"):
             CorpusSpec.from_dict({"evolve_tau_range": tau})
+    for key in ("kinds", "bits", "signed", "metrics", "algorithms"):
+        for shape in (None, 16, "rca", {"rca": 1}):
+            with pytest.raises(ValueError, match=key):
+                CorpusSpec.from_dict({key: shape})
+    for warmup in ("no", 0, 1, None):
+        with pytest.raises(ValueError, match="warmup"):
+            CorpusSpec.from_dict({"warmup": warmup})
+    for data in ([], "spec", None, 3):
+        with pytest.raises(ValueError, match="JSON object"):
+            CorpusSpec.from_dict(data)
     CorpusSpec(evolve_tau_range=Fraction(1, 5), evolve_generations=0, mutants=0)
     with pytest.raises(ValueError):
         CorpusSpec.from_dict({"mutants": 2, "surprise": 1})

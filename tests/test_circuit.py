@@ -300,6 +300,22 @@ def test_oracle_limit():
         oracle_metrics(c, c, limit=25)
 
 
+def test_oracle_output_width_limit():
+    inputs = ("a",)
+    for width, fits in ((62, True), (63, False)):
+        outputs = tuple(f"o{k}" for k in range(width))
+        ones, zeros = (
+            Circuit(op, inputs, outputs, tuple(Gate(op, (), o) for o in outputs))
+            for op in ("CONST1", "CONST0")
+        )
+        if fits:
+            top = (1 << width) - 1
+            assert oracle_metrics(ones, zeros) == (top, Fraction(top), Fraction(1))
+        else:
+            with pytest.raises(OracleLimitError, match="63 outputs"):
+                oracle_metrics(ones, zeros)
+
+
 def test_interface_checks(identity2):
     other = Circuit(
         name="other",

@@ -116,6 +116,30 @@ def test_eval_oracle_limit_exits_4(tmp_path, capsys):
     assert code == 4
 
 
+def wide_pair(tmp_path, width=70):
+    """Two 2-input netlists whose ``width`` outputs all copy ``a``, or are 0."""
+    head = [".model wide", ".inputs a b",
+            ".outputs " + " ".join(f"o{i}" for i in range(width))]
+    copies = [f".gate BUF a -> o{i}" for i in range(width)]
+    zeros = [f".gate CONST0 -> o{i}" for i in range(width)]
+    gfile, afile = tmp_path / "wide_g.net", tmp_path / "wide_a.net"
+    gfile.write_text("\n".join(head + copies + [".end"]) + "\n")
+    afile.write_text("\n".join(head + zeros + [".end"]) + "\n")
+    return ["--golden", str(gfile), "--approx", str(afile)]
+
+
+def test_wide_outputs_hit_the_oracle_limit(tmp_path, capsys):
+    pair = wide_pair(tmp_path)
+    assert run_cli(["eval", *pair, "--algo", "oracle"]) == 4
+    assert "70 outputs" in capsys.readouterr().err
+    assert run_cli(["eval", *pair, "--algo", "noabs"]) == 0
+    assert capsys.readouterr().out.strip() == str((1 << 70) - 1)
+    # verify falls back to the baseline reference, as past the input limit.
+    assert run_cli(["verify", *pair]) == 0
+    out = capsys.readouterr().out
+    assert "all algorithms agree" in out and "oracle" not in out
+
+
 def test_eval_oracle_at_the_limit_warns_but_computes(tmp_path, capsys):
     from axbdd import mutate
 
@@ -331,6 +355,14 @@ def test_bench_bad_spec_exits_2(tmp_path, capsys):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps({"kinds": ["rook"]}))
     assert run_cli(["bench", "--spec", str(spec_file)]) == 2
+
+
+def test_bench_misshapen_spec_exits_2(tmp_path, capsys):
+    spec_file = tmp_path / "spec.json"
+    for spec in ([], {"bits": 16}, {"metrics": None}, {"warmup": "no"}):
+        spec_file.write_text(json.dumps(spec))
+        assert run_cli(["bench", "--spec", str(spec_file)]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_bench_fractional_mutants_exits_2(tmp_path, capsys):

@@ -24,7 +24,8 @@ from axbdd import (
     mae_ones,
     metrics,
 )
-from axbdd.circuit import Circuit, Gate
+from axbdd.circuit import GATE_ARITY, Circuit, Gate
+from conftest import brute_force_metrics
 
 WCE_FNS = (wce_baseline, wce_ones, wce_noabs)
 MAE_FNS = (mae_baseline, mae_ones, mae_noabs)
@@ -195,6 +196,51 @@ def test_witness_soundness():
             assert attained == result.value, fn.__name__
 
 
+def random_netlist(rng, name, inputs, output_count, signed):
+    """Random gate DAG over ``inputs``: every gate kind, outputs on any wire."""
+    wires = list(inputs)
+    gates = []
+    for k in range(rng.randint(0, 10)):
+        op = rng.choice(tuple(GATE_ARITY))
+        args = tuple(rng.choice(wires) for _ in range(GATE_ARITY[op]))
+        gates.append(Gate(op, args, f"w{k}"))
+        wires.append(f"w{k}")
+    outputs = tuple(rng.choice(wires) for _ in range(output_count))
+    return Circuit(name, inputs, outputs, tuple(gates), signed)
+
+
+def test_random_netlists_match_brute_force_and_oracle():
+    rng = random.Random(2022)
+    for case in range(1000):
+        n, m, signed = rng.randint(1, 6), rng.randint(1, 6), case % 2 == 1
+        inputs = tuple(f"x{i}" for i in range(n))
+        golden = random_netlist(rng, "golden", inputs, m, signed)
+        approx = random_netlist(rng, "approx", inputs, m, signed)
+        wce, abs_sum, diff_count = brute_force_metrics(golden, approx)
+        mae, rate = Fraction(abs_sum, 1 << n), Fraction(diff_count, 1 << n)
+        assert oracle_metrics(golden, approx) == (wce, mae, rate), case
+        manager = BddManager(n)
+        f_word = compile_circuit(manager, golden)
+        fp_word = compile_circuit(manager, approx)
+        eps = subtract(f_word, fp_word)
+        for fn in MAE_FNS:
+            assert fn(eps).value == mae, (case, fn.__name__)
+        for fn in WCE_FNS:
+            result = fn(eps)
+            assert result.value == wce, (case, fn.__name__)
+            point = manager.pick_assignment(result.witness)
+            attained = int_value(simulate(golden, point)) - int_value(
+                simulate(approx, point)
+            )
+            assert abs(attained) == wce, (case, fn.__name__)
+        ep = error_rate(f_word, fp_word)
+        assert ep.value == rate, case
+        if ep.witness is not None:
+            point = manager.pick_assignment(ep.witness)
+            assert simulate(golden, point) != simulate(approx, point), case
+        assert (ep.witness is None) == (rate == 0), case
+
+
 def test_metric_ordering_invariants():
     golden = gen_adder("cla", 5, False)
     rng = random.Random(8)
@@ -240,6 +286,21 @@ def test_evaluate_error_convenience(identity2, truncated2):
     assert result.output_count == 2
     rate = evaluate_error(identity2, truncated2, metrics.ERROR_RATE)
     assert rate.value == Fraction(1, 2)
+    # Each phase's nodes are the growth of the store across it.
+    golden = gen_adder("rca", 4)
+    approx = mutate(golden, 5, 3)
+    for metric in metrics.METRICS:
+        manager = BddManager(golden.input_count)
+        first = evaluate_error(golden, approx, metric, metrics.NOABS, manager)
+        p = first.phases
+        assert min(p) >= 0 and p.load_nodes > 0
+        assert p.load_nodes + p.sub_nodes + p.calc_nodes == manager.nodes_created()
+        again = evaluate_error(golden, approx, metric, metrics.NOABS, manager)
+        assert again == first
+        assert again.phases[3:] == (0, 0, 0)  # every node is already stored
+    assert first.phases.sub_ns == first.phases.sub_nodes == 0  # ep: no subtract
+    # The metric functions themselves leave the phases unset.
+    assert wce_noabs(difference_word(golden, approx)).phases is None
 
 
 def test_algorithm_names_recorded(identity2, truncated2):

@@ -191,7 +191,7 @@ def test_rebuilt_manager_keeps_the_trajectory(cfg, resume, monkeypatch):
     compile_circuit = search.compile_circuit
 
     def recording_compile(manager, circuit):
-        counts.append((manager, manager.node_count))
+        counts.append((manager, manager.nodes_created()))
         return compile_circuit(manager, circuit)
 
     monkeypatch.setattr(search, "BddManager", CountingManager)
@@ -205,7 +205,7 @@ def test_rebuilt_manager_keeps_the_trajectory(cfg, resume, monkeypatch):
     # Nodes in the manager as each circuit is compiled into it (its golden
     # first): the limit is checked before every candidate, so no manager
     # ends more than one candidate's nodes past it.
-    added = [(b if n is m else m.node_count) - a
+    added = [(b if n is m else m.nodes_created()) - a
              for (m, a), (n, b) in zip(counts, counts[1:] + [(None, 0)])]
     assert all(count <= search.NODE_LIMIT for _, count in counts)
-    assert max(m.node_count for m in built) <= search.NODE_LIMIT + max(added)
+    assert max(m.nodes_created() for m in built) <= search.NODE_LIMIT + max(added)
