@@ -22,6 +22,11 @@ rebuilt = ~((~x0 | ~x1) & (~x1 | ~x2) & (~x0 | ~x2))
 print("  de-morganed rebuild is the identical node:", rebuilt is majority)
 assert rebuilt is majority
 
+# one ternary call builds the same node from its 8-bit truth table
+# (bit 4a + 2b + c is the value at a, b, c), with no intermediate BDDs
+print("  apply3(0xE8) is the identical node:", m.apply3(0xE8, x0, x1, x2) is majority)
+assert m.apply3(0xE8, x0, x1, x2) is majority
+
 # a witness assignment
 bits = m.pick_assignment(majority)
 print("  one satisfying assignment:", bits)
@@ -34,5 +39,7 @@ before = m.nodes_created()
 print("\nnodes created so far:", before)
 xor3 = x0 ^ x1 ^ x2
 print("building x0^x1^x2 adds", m.nodes_created() - before, "nodes")
+assert m.apply3(0x96, x0, x1, x2) is xor3
+print("apply3(0x96) is the same XOR3 node; nodes now:", m.nodes_created())
 print("conjunction count without building the product:",
       m.sat_count_and(majority, xor3))

@@ -20,9 +20,19 @@ difference of two readings.  The operation cache is one dict, cleared
 when it reaches ``cache_capacity`` entries.
 
 A binary operation is coded by its 4-bit truth table, and what it
-degenerates to on a terminal or on equal operands by a 2-bit one.  Model
-counts are over all of the manager's variables at every node, so no
-count is rescaled by the levels a child skips.
+degenerates to on a terminal or on equal operands by a 2-bit one.  A
+ternary operation (:meth:`BddManager.apply3`) is coded by its 8-bit
+truth table, and degenerates to a binary code on a terminal or on two
+equal operands, so one recursion covers XOR3, MAJ and ITE with no
+intermediate BDDs.  Both arities share the one operation cache: a
+ternary entry is keyed by a 4-tuple, a binary one by a 3-tuple, so the
+two can never collide.  Model counts are over all of the manager's
+variables at every node, so no count is rescaled by the levels a child
+skips.
+
+:meth:`BddManager.build` runs a straight-line program of binary steps
+over node integers and makes handles only for the slots asked for, so
+loading a netlist creates no handle per wire.
 
 Operations and model counts recurse once per variable level.  Where
 that would pass Python's recursion limit, the public entry point raises
@@ -70,6 +80,26 @@ _U_CONST0, _U_NEG, _U_SAME, _U_CONST1 = range(4)
 _LEFT = [(op & 3, op >> 2) for op in range(16)]
 _RIGHT = [(op & 1 | op >> 1 & 2, op >> 1 & 1 | op >> 2 & 2) for op in range(16)]
 _DIAG = [op & 1 | op >> 2 & 2 for op in range(16)]
+
+
+def _bits(table: int, *positions: int) -> int:
+    """The bits of ``table`` at ``positions``, packed low bit first."""
+    return sum((table >> p & 1) << k for k, p in enumerate(positions))
+
+
+# A ternary operation is coded by its 8-bit truth table: bit
+# ``4*a + 2*b + c`` is op(a, b, c).  On a terminal operand, or two equal
+# ones, it degenerates to a binary operation of the other two, coded as
+# above: _T3_A[t][v] is the code of op(v, x, y) for terminal v,
+# _T3_B[t][v] that of op(x, v, y), _T3_C[t][v] that of op(x, y, v), and
+# _T3_AB[t], _T3_AC[t], _T3_BC[t] those of op(x, x, y), op(x, y, x) and
+# op(x, y, y).
+_T3_A = [(t & 15, t >> 4) for t in range(256)]
+_T3_B = [(_bits(t, 0, 1, 4, 5), _bits(t, 2, 3, 6, 7)) for t in range(256)]
+_T3_C = [(_bits(t, 0, 2, 4, 6), _bits(t, 1, 3, 5, 7)) for t in range(256)]
+_T3_AB = [_bits(t, 0, 1, 6, 7) for t in range(256)]
+_T3_AC = [_bits(t, 0, 2, 5, 7) for t in range(256)]
+_T3_BC = [_bits(t, 0, 3, 4, 7) for t in range(256)]
 
 
 def _depth_guarded(method):
@@ -137,9 +167,10 @@ class BddManager:
     are coded by their truth tables, and every model count, cached or
     not, is over all ``var_count`` variables.
 
-    ``cache_capacity`` bounds the binary-operation cache only (the node
-    store itself is never evicted): the cache is one dict, cleared when
-    it reaches ``cache_capacity`` entries, so it never holds more.  By
+    ``cache_capacity`` bounds the operation cache only (the node
+    store itself is never evicted): the cache is one dict, shared by
+    binary and ternary operations and cleared when it reaches
+    ``cache_capacity`` entries, so it never holds more.  By
     default it is unbounded and recomputes nothing.  The bound changes
     speed only, never a result.
 
@@ -199,6 +230,37 @@ class BddManager:
         except (KeyError, AttributeError):
             raise BddError(f"unknown operation {op!r}") from None
         return self._ref(self._apply(code, self._unwrap(a), self._unwrap(b)))
+
+    @_depth_guarded
+    def apply3(self, table: int, a: NodeRef, b: NodeRef, c: NodeRef) -> NodeRef:
+        """Combine three functions by an 8-bit truth table.
+
+        Bit ``4*a + 2*b + c`` of ``table`` is the result at those operand
+        values: ``0x96`` is XOR3, ``0xE8`` majority and ``0xCA`` is
+        if-then-else.  No intermediate BDD is built.
+        """
+        if type(table) is not int or not 0 <= table <= 255:
+            raise BddError(f"ternary truth table {table!r} is not an int in 0..255")
+        return self._ref(
+            self._apply3(table, self._unwrap(a), self._unwrap(b), self._unwrap(c))
+        )
+
+    @_depth_guarded
+    def build(self, program, outputs) -> list[NodeRef]:
+        """Run a straight-line program over node integers; handles for ``outputs``.
+
+        Slot 0 is FALSE, slot 1 TRUE and slot ``2 + i`` variable ``i``;
+        each step ``(code, i, j)`` of ``program`` appends the binary
+        operation with 4-bit truth table ``code`` (bit ``2*a + b`` is
+        op(a, b)) of slots ``i`` and ``j``.  Code ``0b0011`` on ``(i, i)``
+        is NOT.  Only the slots listed in ``outputs`` get handles.
+        """
+        slots = [0, 1]
+        slots += [self._mk(level, 0, 1) for level in range(self.var_count)]
+        apply = self._apply
+        for code, i, j in program:
+            slots.append(apply(code, slots[i], slots[j]))
+        return [self._ref(slots[k]) for k in outputs]
 
     @_depth_guarded
     def not_(self, a: NodeRef) -> NodeRef:
@@ -270,7 +332,7 @@ class BddManager:
 
     def clear_caches(self) -> None:
         """Start the operation, NOT and count caches empty; nodes are kept."""
-        self._apply_cache: dict[tuple[int, int, int], int] = {}
+        self._apply_cache: dict[tuple[int, ...], int] = {}
         self._not_cache: dict[int, int] = {}
         self._count_cache: dict[int, int] = {0: 0, 1: 1 << self.var_count}
         self._count2_cache: dict[tuple[int, int, int], int] = {}
@@ -330,6 +392,45 @@ class BddManager:
         if lb != lv:
             b0 = b1 = b
         r = self._mk(lv, self._apply(op, a0, b0), self._apply(op, a1, b1))
+        if len(cache) >= self._cache_limit:
+            cache.clear()
+        cache[key] = r
+        return r
+
+    def _apply3(self, table: int, a: int, b: int, c: int) -> int:
+        if a < 2:
+            return self._apply(_T3_A[table][a], b, c)
+        if b < 2:
+            return self._apply(_T3_B[table][b], a, c)
+        if c < 2:
+            return self._apply(_T3_C[table][c], a, b)
+        if a == b:
+            return self._apply(_T3_AB[table], a, c)
+        if a == c:
+            return self._apply(_T3_AC[table], a, b)
+        if b == c:
+            return self._apply(_T3_BC[table], a, b)
+        key = (table, a, b, c)
+        cache = self._apply_cache
+        r = cache.get(key)
+        if r is not None:
+            return r
+        nodes = self._nodes
+        la, a0, a1 = nodes[a]
+        lb, b0, b1 = nodes[b]
+        lc, c0, c1 = nodes[c]
+        lv = la if la < lb else lb
+        if lc < lv:
+            lv = lc
+        if la != lv:
+            a0 = a1 = a
+        if lb != lv:
+            b0 = b1 = b
+        if lc != lv:
+            c0 = c1 = c
+        r = self._mk(
+            lv, self._apply3(table, a0, b0, c0), self._apply3(table, a1, b1, c1)
+        )
         if len(cache) >= self._cache_limit:
             cache.clear()
         cache[key] = r

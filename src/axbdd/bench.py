@@ -54,10 +54,6 @@ class BenchRecord:
         return self.load_ns + self.sub_ns + self.calc_ns
 
     @property
-    def total_nodes(self) -> int:
-        return self.load_nodes + self.sub_nodes + self.calc_nodes
-
-    @property
     def result(self) -> int | Fraction | None:
         """Exact metric value, or None for a failed record."""
         if self.result_num is None:

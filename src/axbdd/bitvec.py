@@ -4,17 +4,33 @@ A word is a vector of BDD nodes, least significant bit first.  Circuits
 compile into words; subtracting the words of two circuits yields the
 signed difference function every error metric is computed on.
 
+:func:`compile_circuit` translates a netlist into one straight-line
+program of binary truth-table codes and runs it on the manager's node
+integers, so only the output word gets handles.
+
 :func:`add` and :func:`subtract` share one ripple-carry cell,
-:func:`_ripple`; subtraction is the same cell with the second operand
-inverted inside its operations and the carry input set.
+:func:`_ripple`: two ternary kernel calls per bit, XOR3 for the sum and
+majority for the carry, with no intermediate BDDs.  Subtraction is the
+same cell with the second operand inverted inside both truth tables and
+the carry input set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bdd import BddError, BddManager, NodeRef
+from .bdd import _OP_CODES, BddError, BddManager, NodeRef
 from .circuit import Circuit, bits_to_int
+
+# 4-bit truth-table codes of the gates, bit 2a + b = op(a, b); NOT is
+# the code of NOT a, applied with its one input as both operands.
+_GATE_CODES = {op.upper(): code for op, code in _OP_CODES.items()}
+_GATE_CODES["NOT"] = 0b0011
+
+# 8-bit truth tables of the ripple cell, bit 4a + 2b + c = op(a, b, c):
+# the sum a ^ b ^ c and the carry MAJ(a, b, c), and both with b inverted.
+_ADD_SUM, _ADD_CARRY = 0x96, 0xE8
+_SUB_SUM, _SUB_CARRY = 0x69, 0xB2
 
 
 @dataclass(frozen=True)
@@ -49,30 +65,32 @@ def compile_circuit(manager: BddManager, circuit: Circuit) -> BddWord:
     """Build the BDD word of a circuit's outputs, gate by gate.
 
     The manager must have exactly the circuit's input count as
-    variables; input declaration order is the variable order.
+    variables; input declaration order is the variable order.  The
+    gates become one :meth:`BddManager.build` program: a wire is a slot
+    number, CONST and BUF gates alias a slot, and only the outputs get
+    handles.
     """
     if manager.var_count != circuit.input_count:
         raise BddError(
             f"manager has {manager.var_count} variables, "
             f"circuit {circuit.name!r} has {circuit.input_count} inputs"
         )
-    wires: dict[str, NodeRef] = {}
-    for i, name in enumerate(circuit.inputs):
-        wires[name] = manager.var(i)
+    slot = {name: 2 + i for i, name in enumerate(circuit.inputs)}
+    program = []
     for g in circuit.gates:
         op = g.op
         if op == "CONST0":
-            node = manager.false
+            slot[g.out] = 0
         elif op == "CONST1":
-            node = manager.true
+            slot[g.out] = 1
         elif op == "BUF":
-            node = wires[g.inputs[0]]
-        elif op == "NOT":
-            node = manager.not_(wires[g.inputs[0]])
+            slot[g.out] = slot[g.inputs[0]]
         else:
-            node = manager.apply(op, wires[g.inputs[0]], wires[g.inputs[1]])
-        wires[g.out] = node
-    return BddWord(tuple(wires[w] for w in circuit.outputs), circuit.signed)
+            ins = g.inputs
+            program.append((_GATE_CODES[op], slot[ins[0]], slot[ins[-1]]))
+            slot[g.out] = circuit.input_count + 1 + len(program)
+    bits = manager.build(program, [slot[w] for w in circuit.outputs])
+    return BddWord(tuple(bits), circuit.signed)
 
 
 def extend(word: BddWord, width: int) -> BddWord:
@@ -86,12 +104,14 @@ def extend(word: BddWord, width: int) -> BddWord:
 
 
 def _ripple(
-    a: BddWord, b: BddWord, half: str, generate: str, carry_in: bool, signed: bool
+    a: BddWord, b: BddWord, sum_table: int, carry_table: int, carry_in: bool,
+    signed: bool,
 ) -> BddWord:
     """Ripple-carry word one bit wider than the wider operand.
 
-    Bit i is ``h XOR carry`` with ``h = half(a_i, b_i)``; the next carry
-    is ``generate(a_i, b_i) OR (h AND carry)``.  The last carry is dropped.
+    Bit i is ``sum_table(a_i, b_i, carry)`` and the next carry is
+    ``carry_table(a_i, b_i, carry)``, both one :meth:`BddManager.apply3`
+    call on 8-bit truth tables.  The last carry is dropped.
     """
     if a.manager is not b.manager:
         raise BddError("words belong to different managers")
@@ -101,35 +121,35 @@ def _ripple(
     a = extend(a, width)
     b = extend(b, width)
     manager = a.manager
-    apply = manager.apply
+    apply3 = manager.apply3
     carry = manager.true if carry_in else manager.false
     bits = []
     for i in range(width):
         abit, bbit = a.bits[i], b.bits[i]
-        h = apply(half, abit, bbit)
-        bits.append(apply("xor", h, carry))
+        bits.append(apply3(sum_table, abit, bbit, carry))
         if i + 1 < width:
-            carry = apply("or", apply(generate, abit, bbit), apply("and", h, carry))
+            carry = apply3(carry_table, abit, bbit, carry)
     return BddWord(tuple(bits), signed)
 
 
 def add(a: BddWord, b: BddWord) -> BddWord:
     """Ripple-carry sum, one bit wider than the widest operand.
 
-    The extra bit absorbs the carry, so the integer value is exact for
-    every assignment.
+    Two ternary kernel calls per bit (XOR3 and majority).  The extra bit
+    absorbs the carry, so the integer value is exact for every assignment.
     """
-    return _ripple(a, b, "xor", "and", False, a.signed)
+    return _ripple(a, b, _ADD_SUM, _ADD_CARRY, False, a.signed)
 
 
 def subtract(a: BddWord, b: BddWord) -> BddWord:
     """Ripple-carry difference as a signed word, one bit wider than the operands.
 
-    The adder cell with the second operand inverted, fused into its
-    operations (XNOR and and-not) so no complement copy is built, and
-    the carry input set.  The extra bit means it can never overflow.
+    The adder cell with the second operand inverted inside both truth
+    tables, so no complement copy is built, and the carry input set: two
+    ternary kernel calls per bit.  The extra bit means it can never
+    overflow.
     """
-    return _ripple(a, b, "xnor", "andnot", True, True)
+    return _ripple(a, b, _SUB_SUM, _SUB_CARRY, True, True)
 
 
 def word_value(word: BddWord, assignment) -> int:

@@ -40,10 +40,7 @@ EXIT_ORACLE = 4
 EXIT_VERIFY = 5
 
 
-def _format_value(value, input_count: int, relative_den=None) -> str:
-    if relative_den is not None:
-        frac = Fraction(value) / relative_den
-        return f"{frac.numerator}/{frac.denominator} ({float(frac):g})"
+def _format_value(value, input_count: int) -> str:
     if isinstance(value, Fraction):
         num, e = metrics.exact_fields(value, input_count)
         return f"{num}/2^{e} ({float(value):g})"
@@ -75,11 +72,8 @@ def _load_pair(args):
 def cmd_eval(args) -> int:
     golden, approx = _load_pair(args)
     n = golden.input_count
-    relative_den = None
-    if args.relative:
-        if args.metric == metrics.ERROR_RATE:
-            raise SystemExit("error rate is already relative; drop --relative")
-        relative_den = (1 << golden.output_count) - 1
+    if args.relative and args.metric == metrics.ERROR_RATE:
+        raise SystemExit("error rate is already relative; drop --relative")
     if args.algo == "oracle":
         if n >= 20:
             print(
@@ -90,9 +84,16 @@ def cmd_eval(args) -> int:
         value = {metrics.WCE: wce, metrics.MAE: mae, metrics.ERROR_RATE: rate}[
             args.metric
         ]
+        result = metrics.ErrorValue(
+            args.metric, "oracle", value, n, golden.output_count
+        )
     else:
-        value = metrics.evaluate_error(golden, approx, args.metric, args.algo).value
-    print(_format_value(value, n, relative_den))
+        result = metrics.evaluate_error(golden, approx, args.metric, args.algo)
+    if args.relative:
+        frac = result.relative()
+        print(f"{frac.numerator}/{frac.denominator} ({float(frac):g})")
+    else:
+        print(_format_value(result.value, n))
     return EXIT_OK
 
 

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from axbdd import Circuit, Gate, bits_to_int, int_value, simulate
+from axbdd.circuit import GATE_ARITY
 
 
 def all_assignments(n):
@@ -28,6 +29,19 @@ def brute_force_metrics(f, fp):
         if vf != vp:
             diff_count += 1
     return wce, abs_sum, diff_count
+
+
+def random_netlist(rng, name, inputs, output_count, signed):
+    """Random gate DAG over ``inputs``: every gate kind, outputs on any wire."""
+    wires = list(inputs)
+    gates = []
+    for k in range(rng.randint(0, 10)):
+        op = rng.choice(tuple(GATE_ARITY))
+        args = tuple(rng.choice(wires) for _ in range(GATE_ARITY[op]))
+        gates.append(Gate(op, args, f"w{k}"))
+        wires.append(f"w{k}")
+    outputs = tuple(rng.choice(wires) for _ in range(output_count))
+    return Circuit(name, inputs, outputs, tuple(gates), signed)
 
 
 def adder_value_pair(circuit, bits):

@@ -9,6 +9,7 @@ import pytest
 from axbdd import (
     BddError,
     BddManager,
+    BddWord,
     compile_circuit,
     evaluate_error,
     gen_adder,
@@ -16,6 +17,7 @@ from axbdd import (
     mutate,
     parse,
     simulate,
+    subtract,
 )
 from axbdd.bdd import _OP_CODES
 
@@ -217,6 +219,83 @@ def test_terminal_and_equal_operands(op):
         assert m.sat_count_andnot(a, b) == m.sat_count(m.apply("andnot", a, b))
 
 
+def test_apply3_matches_enumeration():
+    # Every 8-bit table on random functions of 5 variables, with a
+    # terminal in each operand position and each pair of equal operands.
+    rng = random.Random(31)
+    n = 5
+    m = BddManager(n)
+    pool = random_formula_pool(m, rng, extra=40)
+    pool += [(m.false, lambda bits: 0), (m.true, lambda bits: 1)]
+    inner = [p for p in pool if p[0].index > 1]
+    false, true = pool[-2], pool[-1]
+    assignments = list(all_assignments(n))
+    for table in range(256):
+        x, y, z = rng.sample(inner, 3)
+        triples = [(x, y, z), (x, x, y), (x, y, x), (y, x, x), (x, x, x)]
+        for term in (false, true):
+            triples += [(term, x, y), (x, term, y), (x, y, term)]
+        for (a, fa), (b, fb), (c, fc) in triples:
+            node = m.apply3(table, a, b, c)
+            for bits in assignments:
+                expected = table >> (4 * fa(bits) + 2 * fb(bits) + fc(bits)) & 1
+                assert m.evaluate(node, bits) == bool(expected), (table, bits)
+
+
+def test_apply3_named_tables_are_their_binary_compositions():
+    m = BddManager(4)
+    x, y, z = m.var(0), m.var(2), m.apply("or", m.var(1), m.var(3))
+    assert m.apply3(0x96, x, y, z) is x ^ y ^ z
+    assert m.apply3(0xE8, x, y, z) is (x & y) | (x & z) | (y & z)
+    assert m.apply3(0xCA, x, y, z) is (x & y) | (~x & z)
+    assert m.apply3(0x69, x, y, z) is ~(x ^ y ^ z)
+    assert m.apply3(0xB2, x, y, z) is (x & ~y) | (x & z) | (~y & z)
+
+
+def test_apply3_rejects_bad_tables():
+    m = BddManager(2)
+    x, y = m.var(0), m.var(1)
+    for table in (256, -1, True, "maj", 1.0):
+        with pytest.raises(BddError):
+            m.apply3(table, x, y, x)
+    with pytest.raises(BddError):
+        m.apply3(0x96, x, y, BddManager(2).var(0))
+
+
+def test_apply3_bounded_cache_changes_nothing_but_speed():
+    results = []
+    for capacity in (None, 1, 7):
+        m = BddManager(12, cache_capacity=capacity)
+        a = BddWord(tuple(m.var(2 * i) for i in range(6)), signed=True)
+        b = BddWord(tuple(m.var(2 * i + 1) for i in range(6)), signed=True)
+        diff = subtract(a, b)
+        if capacity is not None:
+            assert len(m._apply_cache) <= capacity
+        results.append(([bit.index for bit in diff.bits], m.nodes_created()))
+    assert results[0] == results[1] == results[2]
+
+
+def test_ternary_and_binary_entries_share_one_cache():
+    m = BddManager(3)
+    x, y, z = m.var(0), m.var(1), m.var(2)
+    # The top call is a 4-tuple entry, the binary residuals below it 3-tuples.
+    m.apply3(0xE8, x, y, z)
+    assert (0xE8, x.index, y.index, z.index) in m._apply_cache
+    assert {len(key) for key in m._apply_cache} == {3, 4}
+    m.clear_caches()
+    assert m._apply_cache == {}
+
+
+def test_build_runs_a_program_on_node_ints():
+    m = BddManager(2)
+    x, y = m.var(0), m.var(1)
+    # slots: 0 FALSE, 1 TRUE, 2 x, 3 y; steps append slots 4, 5, 6
+    program = [(_OP_CODES["xor"], 2, 3), (0b0011, 4, 4), (_OP_CODES["and"], 5, 1)]
+    handles = m.build(program, [6, 4, 0, 3, 6])
+    assert handles == [~(x ^ y), x ^ y, m.false, y, ~(x ^ y)]
+    assert handles[0] is handles[4] is m.not_(m.apply("xor", x, y))
+
+
 def test_counts_on_a_wide_manager():
     n = 200
     m = BddManager(n)
@@ -379,6 +458,7 @@ DEEP = sys.getrecursionlimit() + 100
 # variables.
 DEEP_CALLS = {
     "apply": lambda m, conj, disj: m.apply("xor", conj, disj),
+    "apply3": lambda m, conj, disj: m.apply3(0x96, conj, disj, m.var(DEEP - 1)),
     "not_": lambda m, conj, disj: m.not_(conj),
     "sat_count": lambda m, conj, disj: m.sat_count(conj),
     "sat_prob": lambda m, conj, disj: m.sat_prob(conj),

@@ -63,7 +63,6 @@ def test_phase_columns_populated(records):
         assert r.load_ns >= 0 and r.sub_ns >= 0 and r.calc_ns >= 0
         assert r.load_nodes >= 0 and r.sub_nodes >= 0 and r.calc_nodes >= 0
         assert r.load_nodes > 0  # compiling two adders always builds nodes
-        assert r.total_nodes == r.load_nodes + r.sub_nodes + r.calc_nodes
 
 
 def test_empty_spec_gives_empty_list():

@@ -97,6 +97,23 @@ def test_eval_relative_wce(pair, capsys):
     assert capsys.readouterr().out.strip().startswith("1/3")
 
 
+def test_eval_relative_formats_oracle_and_bdd_alike(pair, capsys):
+    golden, approx = pair
+    # wce 1 and mae 1/2 over the range 3
+    for metric, expected in (("wce", "1/3 (0.333333)"), ("mae", "1/6 (0.166667)")):
+        for algo in ("oracle", "baseline", "noabs"):
+            code = run_cli(
+                ["eval", "--golden", str(golden), "--approx", str(approx),
+                 "--metric", metric, "--algo", algo, "--relative"]
+            )
+            assert code == 0
+            assert capsys.readouterr().out.strip() == expected, (metric, algo)
+    code = run_cli(["eval", "--golden", str(golden), "--approx", str(approx),
+                    "--metric", "ep", "--relative"])
+    assert code == 2
+    assert "already relative" in capsys.readouterr().err
+
+
 def test_eval_interface_mismatch_exits_3(tmp_path, pair, capsys):
     golden, _ = pair
     other = tmp_path / "other.net"

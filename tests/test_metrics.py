@@ -24,8 +24,8 @@ from axbdd import (
     mae_ones,
     metrics,
 )
-from axbdd.circuit import GATE_ARITY, Circuit, Gate
-from conftest import brute_force_metrics
+from axbdd.circuit import Circuit, Gate
+from conftest import brute_force_metrics, random_netlist
 
 WCE_FNS = (wce_baseline, wce_ones, wce_noabs)
 MAE_FNS = (mae_baseline, mae_ones, mae_noabs)
@@ -194,19 +194,6 @@ def test_witness_soundness():
                 int_value(simulate(golden, bits)) - int_value(simulate(mutant, bits))
             )
             assert attained == result.value, fn.__name__
-
-
-def random_netlist(rng, name, inputs, output_count, signed):
-    """Random gate DAG over ``inputs``: every gate kind, outputs on any wire."""
-    wires = list(inputs)
-    gates = []
-    for k in range(rng.randint(0, 10)):
-        op = rng.choice(tuple(GATE_ARITY))
-        args = tuple(rng.choice(wires) for _ in range(GATE_ARITY[op]))
-        gates.append(Gate(op, args, f"w{k}"))
-        wires.append(f"w{k}")
-    outputs = tuple(rng.choice(wires) for _ in range(output_count))
-    return Circuit(name, inputs, outputs, tuple(gates), signed)
 
 
 def test_random_netlists_match_brute_force_and_oracle():
