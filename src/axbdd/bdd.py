@@ -179,8 +179,8 @@ class BddManager:
     """
 
     def __init__(self, var_count: int, cache_capacity: int | None = None):
-        if var_count < 0:
-            raise BddError("variable count must be non-negative")
+        if type(var_count) is not int or var_count < 0:
+            raise BddError("variable count must be a non-negative integer")
         if cache_capacity is not None and (
             type(cache_capacity) is not int or cache_capacity < 1
         ):

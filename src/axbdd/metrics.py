@@ -19,13 +19,26 @@ running maximum.  All results are exact: integers for WCE, rationals
 with denominator 2^n for MAE and error rate, stored as numerator / 2^e
 by :func:`exact_fields` and read back by :func:`exact_value`.
 :func:`evaluate_error` runs the whole pipeline and times its phases.
+
+Every WCE and MAE family, and :func:`compute`, takes an optional
+keyword ``limit``: a finite number >= 0, or ``None`` (the default) for
+no limit.  A family returns ``None`` as soon as its running value
+proves that the error is above ``limit``, and otherwise exactly the
+:class:`ErrorValue` it returns without one, witness included; no
+partial or lower-bound value ever leaves it.  This works because every
+running value only grows: a WCE search sets bits from the most
+significant end, and an MAE sum adds non-negative per-bit terms, most
+significant first.  A threshold-constrained search uses it to reject a
+candidate over its bound without computing the exact error.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from numbers import Real
 from typing import NamedTuple
 
 from .bdd import BddManager, NodeRef
@@ -98,6 +111,27 @@ def exact_value(numerator: int, e: int) -> int | Fraction:
     return Fraction(numerator, 1 << e) if e else numerator
 
 
+def _scaled_limit(limit, scale: int = 1) -> int | None:
+    """``floor(limit * scale)``, the greatest integer total within ``limit``
+    on a scale of ``scale`` per unit; ``None`` for no limit."""
+    if limit is None:
+        return None
+    if isinstance(limit, bool) or not (isinstance(limit, Real) and 0 <= limit < math.inf):
+        raise ValueError(f"limit must be None or a finite number >= 0, got {limit!r}")
+    return math.floor(Fraction(limit) * scale)
+
+
+def _weighted_count(count, bits, total: int, stop: int | None) -> int | None:
+    """``total`` plus ``count(bits[i]) << i`` over every bit, most significant
+    first, or ``None`` once the sum passes ``stop``.  Each count is >= 0, so
+    the sum only grows and every count after that point is skipped."""
+    for i in range(len(bits) - 1, -1, -1):
+        if stop is not None and total > stop:
+            return None
+        total += count(bits[i]) << i
+    return None if stop is not None and total > stop else total
+
+
 def _require_difference_word(eps: BddWord) -> None:
     if not eps.signed:
         raise ValueError("expected the signed difference word from subtract()")
@@ -116,67 +150,85 @@ def _masked_magnitude(eps: BddWord) -> BddWord:
     )
 
 
-def _search_max(manager, bits, mu, invert=False):
+def _search_max(manager, bits, mu, invert=False, stop=None):
     """Greatest reachable value of a bit vector restricted to ``mu``.
 
     Scans from the most significant bit; whenever the running witness
     still admits a set bit (cleared bit if ``invert``), the bit joins
     the maximum and the witness is narrowed.  Afterwards every
     satisfying assignment of the witness attains the returned value.
+    The running maximum only grows, so once it passes ``stop`` the scan
+    ends and returns ``None``.
     """
+    if stop is not None and stop < 0:
+        return None
     best = 0
     op = "andnot" if invert else "and"
     for i in range(len(bits) - 1, -1, -1):
         narrowed = manager.apply(op, mu, bits[i])
         if manager.is_sat(narrowed):
             best += 1 << i
+            if stop is not None and best > stop:
+                return None
             mu = narrowed
     return best, mu
 
 
-def wce_baseline(eps: BddWord) -> ErrorValue:
+def wce_baseline(eps: BddWord, *, limit=None) -> ErrorValue | None:
     """Worst-case error via the full two's-complement absolute value."""
+    stop = _scaled_limit(limit)
     _require_difference_word(eps)
     manager = eps.manager
     sign = eps.sign_bit
     magnitude = add(_masked_magnitude(eps), BddWord((sign,), signed=False))
-    wce, mu = _search_max(manager, magnitude.bits, manager.true)
+    found = _search_max(manager, magnitude.bits, manager.true, stop=stop)
+    if found is None:
+        return None
+    wce, mu = found
     return ErrorValue(WCE, BASELINE, wce, manager.var_count, eps.width - 1, mu)
 
 
-def mae_baseline(eps: BddWord) -> ErrorValue:
+def mae_baseline(eps: BddWord, *, limit=None) -> ErrorValue | None:
     """Mean absolute error as the weighted bit probabilities of |eps|."""
     _require_difference_word(eps)
     manager = eps.manager
+    stop = _scaled_limit(limit, 1 << manager.var_count)
     sign = eps.sign_bit
     magnitude = add(_masked_magnitude(eps), BddWord((sign,), signed=False))
-    total = 0
-    for i, bit in enumerate(magnitude.bits):
-        total += manager.sat_count(bit) << i
+    total = _weighted_count(manager.sat_count, magnitude.bits, 0, stop)
+    if total is None:
+        return None
     value = Fraction(total, 1 << manager.var_count)
     return ErrorValue(MAE, BASELINE, value, manager.var_count, eps.width - 1)
 
 
-def wce_ones(eps: BddWord) -> ErrorValue:
+def wce_ones(eps: BddWord, *, limit=None) -> ErrorValue | None:
     """Worst-case error with the increment replaced by a +1 correction.
 
     The search runs on the un-incremented masked magnitude; if the
     witness still admits a negative point, the true maximum is one
-    higher and the witness narrows to those points.
+    higher and the witness narrows to those points.  Under a limit the
+    scan stops on its own value, and the +1 is checked at the end.
     """
+    stop = _scaled_limit(limit)
     _require_difference_word(eps)
     manager = eps.manager
     sign = eps.sign_bit
     magnitude = _masked_magnitude(eps)
-    wce, mu = _search_max(manager, magnitude.bits, manager.true)
+    found = _search_max(manager, magnitude.bits, manager.true, stop=stop)
+    if found is None:
+        return None
+    wce, mu = found
     negative = manager.apply("and", mu, sign)
     if manager.is_sat(negative):
         wce += 1
         mu = negative
+    if stop is not None and wce > stop:
+        return None
     return ErrorValue(WCE, ONES, wce, manager.var_count, eps.width - 1, mu)
 
 
-def mae_ones(eps: BddWord) -> ErrorValue:
+def mae_ones(eps: BddWord, *, limit=None) -> ErrorValue | None:
     """Mean absolute error with the increment folded into one probability.
 
     Every negative point's masked magnitude is short by exactly one, so
@@ -184,24 +236,31 @@ def mae_ones(eps: BddWord) -> ErrorValue:
     """
     _require_difference_word(eps)
     manager = eps.manager
-    magnitude = _masked_magnitude(eps)
-    total = 0
-    for i, bit in enumerate(magnitude.bits):
-        total += manager.sat_count(bit) << i
-    total += manager.sat_count(eps.sign_bit)
+    stop = _scaled_limit(limit, 1 << manager.var_count)
+    total = _weighted_count(
+        manager.sat_count,
+        _masked_magnitude(eps).bits,
+        manager.sat_count(eps.sign_bit),
+        stop,
+    )
+    if total is None:
+        return None
     value = Fraction(total, 1 << manager.var_count)
     return ErrorValue(MAE, ONES, value, manager.var_count, eps.width - 1)
 
 
-def wce_noabs(eps: BddWord) -> ErrorValue:
+def wce_noabs(eps: BddWord, *, limit=None) -> ErrorValue | None:
     """Worst-case error straight off the signed difference.
 
     Two guided searches: the non-negative branch maximizes the
     difference itself, the negative branch maximizes the inverted bits
     (value ``|eps| - 1``) and gets the two's-complement +1 back.  An
     unsatisfiable branch is skipped entirely; in particular an exact
-    circuit reports 0, the stray +1 never applies.
+    circuit reports 0, the stray +1 never applies.  Under a limit the
+    negative branch stops one lower, for its +1, and is not run at all
+    once the non-negative branch is over.
     """
+    stop = _scaled_limit(limit)
     _require_difference_word(eps)
     manager = eps.manager
     sign = eps.sign_bit
@@ -209,9 +268,15 @@ def wce_noabs(eps: BddWord) -> ErrorValue:
     magnitude_bits = eps.bits[:-1]
     positive = negative = None
     if manager.is_sat(not_sign):
-        positive = _search_max(manager, magnitude_bits, not_sign)
+        positive = _search_max(manager, magnitude_bits, not_sign, stop=stop)
+        if positive is None:
+            return None
     if manager.is_sat(sign):
-        wce_n, mu_n = _search_max(manager, magnitude_bits, sign, invert=True)
+        found = _search_max(manager, magnitude_bits, sign, invert=True,
+                            stop=None if stop is None else stop - 1)
+        if found is None:
+            return None
+        wce_n, mu_n = found
         negative = (wce_n + 1, mu_n)
     if negative is None:
         wce, mu = positive
@@ -222,7 +287,7 @@ def wce_noabs(eps: BddWord) -> ErrorValue:
     return ErrorValue(WCE, NOABS, wce, manager.var_count, eps.width - 1, mu)
 
 
-def mae_noabs(eps: BddWord) -> ErrorValue:
+def mae_noabs(eps: BddWord, *, limit=None) -> ErrorValue | None:
     """Mean absolute error without materializing the absolute value.
 
     Sums the difference bits over the non-negative points and the
@@ -233,11 +298,16 @@ def mae_noabs(eps: BddWord) -> ErrorValue:
     """
     _require_difference_word(eps)
     manager = eps.manager
+    stop = _scaled_limit(limit, 1 << manager.var_count)
     sign = eps.sign_bit
-    negatives = total = manager.sat_count(sign)
-    for i, bit in enumerate(eps.bits[:-1]):
-        both = manager.sat_count_and(bit, sign)
-        total += (manager.sat_count(bit) + negatives - 2 * both) << i
+    negatives = manager.sat_count(sign)
+
+    def count(bit):
+        return manager.sat_count(bit) + negatives - 2 * manager.sat_count_and(bit, sign)
+
+    total = _weighted_count(count, eps.bits[:-1], negatives, stop)
+    if total is None:
+        return None
     value = Fraction(total, 1 << manager.var_count)
     return ErrorValue(MAE, NOABS, value, manager.var_count, eps.width - 1)
 
@@ -267,8 +337,13 @@ _WCE_ALGORITHMS = {BASELINE: wce_baseline, ONES: wce_ones, NOABS: wce_noabs}
 _MAE_ALGORITHMS = {BASELINE: mae_baseline, ONES: mae_ones, NOABS: mae_noabs}
 
 
-def compute(eps: BddWord, metric: str, algorithm: str = NOABS) -> ErrorValue:
-    """Dispatch one metric/algorithm pair on a difference word."""
+def compute(
+    eps: BddWord, metric: str, algorithm: str = NOABS, *, limit=None
+) -> ErrorValue | None:
+    """Dispatch one metric/algorithm pair on a difference word.
+
+    ``None`` means the error is above ``limit`` (see the module notes).
+    """
     try:
         table = {WCE: _WCE_ALGORITHMS, MAE: _MAE_ALGORITHMS}[metric]
     except KeyError:
@@ -277,7 +352,9 @@ def compute(eps: BddWord, metric: str, algorithm: str = NOABS) -> ErrorValue:
         fn = table[algorithm]
     except KeyError:
         raise ValueError(f"unknown algorithm {algorithm!r}") from None
-    return fn(eps)
+    # Without a limit a family gets the word alone, so a dispatch entry
+    # that takes only the word (a stand-in family, say) still works.
+    return fn(eps) if limit is None else fn(eps, limit=limit)
 
 
 def evaluate_error(

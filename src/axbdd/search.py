@@ -5,7 +5,10 @@ current parent, scores every candidate with an exact BDD error metric
 against the original seed, and keeps the smallest candidate whose error
 stays within the threshold.  Candidates over the threshold get infinite
 fitness; offspring win ties with the parent so the search can drift
-across equal-size plateaus.
+across equal-size plateaus.  A candidate is scored with the threshold
+as the metric's ``limit``, so one over it is rejected as soon as that
+is proven, without its exact error being computed.  A candidate within
+the threshold still gets its exact error, so the run is unchanged.
 
 All candidates share one BDD manager, so a candidate reuses the nodes
 and cache entries of the ones before it.  The node store only grows,
@@ -132,16 +135,20 @@ def run_search(
     zero = 0 if cfg.metric == metrics.WCE else Fraction(0)
     parent_error = zero
 
-    def score(candidate: Circuit) -> int | Fraction:
+    def score(candidate: Circuit) -> int | Fraction | None:
+        """The candidate's exact error, or ``None`` once it is over the threshold."""
         nonlocal manager, golden
         if manager.nodes_created() > NODE_LIMIT:
             manager, golden = fresh_golden()
         eps = subtract(golden, compile_circuit(manager, candidate))
-        return metrics.compute(eps, cfg.metric, cfg.algorithm).value
+        result = metrics.compute(eps, cfg.metric, cfg.algorithm, limit=cfg.threshold)
+        if result is None or result.value > cfg.threshold:
+            return None
+        return result.value
 
     if start_from is not None:
         parent_error = score(parent)
-        if parent_error > cfg.threshold:
+        if parent_error is None:
             raise ValueError("start_from circuit violates the threshold")
     evals = 0
     history = [
@@ -172,9 +179,7 @@ def run_search(
             child = mutate(parent, rng.getrandbits(64), cfg.edits)
             error = score(child)
             evals += 1
-            fitness = (
-                child.active_gate_count() if error <= cfg.threshold else math.inf
-            )
+            fitness = child.active_gate_count() if error is not None else math.inf
             if fitness < best_child_fitness:
                 best_child = child
                 best_child_fitness = fitness

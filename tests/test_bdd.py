@@ -352,6 +352,13 @@ def test_cache_capacity_validation():
             BddManager(2, cache_capacity=capacity)
 
 
+def test_var_count_validation():
+    for var_count in (-1, 2.5, "3", True, False, None):
+        with pytest.raises(BddError, match="variable count"):
+            BddManager(var_count)
+    assert BddManager(0).var_count == 0
+
+
 def test_clear_caches_keeps_results():
     _check_clear_caches_keeps_results(capacity=None)
 

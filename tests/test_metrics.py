@@ -309,3 +309,66 @@ def test_exact_fields_round_trip():
         assert metrics.exact_fields(value, input_count) == fields
         back = metrics.exact_value(*fields)
         assert back == value and type(back) is type(value)
+
+
+def limited_pairs(rng):
+    """Small (golden, approx) pairs: mutants of 4-8-bit adders, then random netlists."""
+    for case in range(120):
+        kind = ("rca", "cla", "cska")[case % 3]
+        golden = gen_adder(kind, rng.randint(4, 8), case % 2 == 1)
+        yield golden, mutate(golden, rng.getrandbits(64), rng.randint(1, 4))
+    for case in range(120):
+        n, m, signed = rng.randint(1, 6), rng.randint(1, 6), case % 2 == 1
+        inputs = tuple(f"x{i}" for i in range(n))
+        yield (random_netlist(rng, "golden", inputs, m, signed),
+               random_netlist(rng, "approx", inputs, m, signed))
+
+
+def test_limited_families_decide_the_bound_and_keep_exact_values():
+    rng = random.Random(12)
+    over = within = 0
+    for case, (golden, approx) in enumerate(limited_pairs(rng)):
+        wce_o, mae_o, _ = oracle_metrics(golden, approx)
+        manager = BddManager(golden.input_count)
+        eps = difference_word(golden, approx, manager)
+        step = Fraction(1, 1 << golden.input_count)
+        for fns, exact, unit in ((WCE_FNS, wce_o, 1), (MAE_FNS, mae_o, step)):
+            limits = [0, exact - unit, exact, exact + unit,
+                      Fraction(rng.randint(0, 4 * int(exact) + 4), rng.randint(1, 4))]
+            for fn in fns:
+                unlimited = fn(eps)
+                assert unlimited.value == exact, (case, fn.__name__)
+                for limit in limits:
+                    if limit < 0:
+                        continue
+                    result = fn(eps, limit=limit)
+                    where = (case, fn.__name__, limit)
+                    if exact > limit:
+                        over += 1
+                        assert result is None, where
+                        assert result != unlimited, where
+                    else:
+                        within += 1
+                        assert result == unlimited, where
+                        assert result.witness is unlimited.witness, where
+                        assert result.value == exact, where
+    assert over > 1000 and within > 1000
+
+
+def test_limit_validation(identity2, truncated2):
+    eps = difference_word(identity2, truncated2)
+    for bad in (True, float("nan"), float("inf"), -1, "3"):
+        with pytest.raises(ValueError, match="limit"):
+            compute(eps, "wce", "noabs", limit=bad)
+        with pytest.raises(ValueError, match="limit"):
+            compute(eps, "mae", "baseline", limit=bad)
+        for fn in WCE_FNS + MAE_FNS:
+            with pytest.raises(ValueError, match="limit"):
+                fn(eps, limit=bad)
+    # Any finite real >= 0 is a limit, and compute passes it through.
+    assert compute(eps, "wce", "ones", limit=0) is None
+    assert compute(eps, "wce", "ones", limit=1.0).value == 1
+    assert compute(eps, "mae", "noabs", limit=Fraction(1, 3)) is None
+    assert compute(eps, "mae", "noabs", limit=0.5).value == Fraction(1, 2)
+    with pytest.raises(TypeError):
+        error_rate(eps, eps, limit=1)

@@ -209,3 +209,53 @@ def test_rebuilt_manager_keeps_the_trajectory(cfg, resume, monkeypatch):
              for (m, a), (n, b) in zip(counts, counts[1:] + [(None, 0)])]
     assert all(count <= search.NODE_LIMIT for _, count in counts)
     assert max(m.nodes_created() for m in built) <= search.NODE_LIMIT + max(added)
+
+
+def limited_case(metric, algorithm, resume=False, node_limit=None):
+    threshold, seed = (6, 4) if metric == "wce" else (Fraction(3, 4), 7)
+    cfg = SearchConfig(metric=metric, threshold=threshold, algorithm=algorithm,
+                       max_generations=50, seed=seed)
+    name = f"{metric}-{algorithm}" + ("-resume" if resume else "") + (
+        f"-node-limit-{node_limit}" if node_limit else "")
+    return pytest.param(cfg, resume, node_limit, id=name)
+
+
+@pytest.mark.parametrize(
+    "cfg, resume, node_limit",
+    [limited_case(metric, algorithm)
+     for metric in ("wce", "mae") for algorithm in ("baseline", "ones", "noabs")]
+    + [limited_case("wce", "noabs", resume=True),
+       limited_case("mae", "ones", node_limit=300)],
+)
+def test_limit_keeps_the_trajectory(cfg, resume, node_limit, monkeypatch):
+    # Scoring with the threshold as the limit rejects over-threshold
+    # candidates early, and must change nothing else in the run.
+    seed = gen_adder("rca", 5, False)
+    start = None
+    if resume:
+        start, _ = run_search(seed, SearchConfig(metric="wce", threshold=6,
+                                                 max_generations=40, seed=2))
+    if node_limit is not None:
+        monkeypatch.setattr(search, "NODE_LIMIT", node_limit)
+    compute = search.metrics.compute
+    results, managers = [], []
+
+    def recording_compute(eps, *args, **kwargs):
+        result = compute(eps, *args, **kwargs)
+        results.append(result)
+        managers.append(eps.manager)
+        return result
+
+    monkeypatch.setattr(search.metrics, "compute", recording_compute)
+    best, history = run_search(seed, cfg, start_from=start)
+    assert any(result is None for result in results)
+    if node_limit is not None:
+        assert len(set(map(id, managers))) > 1
+
+    def unlimited_compute(*args, limit=None, **kwargs):
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(search.metrics, "compute", unlimited_compute)
+    expected_best, expected = run_search(seed, cfg, start_from=start)
+    assert best == expected_best
+    assert strip_timing(history) == strip_timing(expected)
