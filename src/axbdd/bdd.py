@@ -26,9 +26,13 @@ truth table, and degenerates to a binary code on a terminal or on two
 equal operands, so one recursion covers XOR3, MAJ and ITE with no
 intermediate BDDs.  Both arities share the one operation cache: a
 ternary entry is keyed by a 4-tuple, a binary one by a 3-tuple, so the
-two can never collide.  Model counts are over all of the manager's
-variables at every node, so no count is rescaled by the levels a child
-skips.
+two can never collide.
+
+Model counts are over all of the manager's variables at every node, so
+no count is rescaled by the levels a child skips.  The only pairwise
+count is that of a conjunction, the one the metrics ask for; it walks
+both DAGs together and builds no node.  One count cache holds both: a
+node's count under its int, a conjunction's under the ordered pair.
 
 :meth:`BddManager.build` runs a straight-line program of binary steps
 over node integers and makes handles only for the slots asked for, so
@@ -56,16 +60,14 @@ class BddError(Exception):
 # agree) and cache on (op, min, max); the fused and-not (the ``diff``
 # operator of the usual BDD libraries, here so callers never have to
 # materialize a complement copy) caches on (op, a, b) as is.
-_AND, _ANDNOT = 0b1000, 0b0100
-
 _OP_CODES = {
-    "and": _AND,
+    "and": 0b1000,
     "or": 0b1110,
     "xor": 0b0110,
     "nand": 0b0111,
     "nor": 0b0001,
     "xnor": 0b1001,
-    "andnot": _ANDNOT,
+    "andnot": 0b0100,
 }
 
 _COMMUTATIVE = frozenset(op for op in range(16) if (op >> 1 ^ op >> 2) & 1 == 0)
@@ -75,17 +77,17 @@ _COMMUTATIVE = frozenset(op for op in range(16) if (op >> 1 ^ op >> 2) & 1 == 0)
 # the same way: bit x of the 2-bit code is its value at x.
 _U_CONST0, _U_NEG, _U_SAME, _U_CONST1 = range(4)
 
-# _LEFT[op][v] is the residual of op(v, x) for terminal v, _RIGHT[op][v]
-# that of op(x, v), and _DIAG[op] that of op(x, x).
-_LEFT = [(op & 3, op >> 2) for op in range(16)]
-_RIGHT = [(op & 1 | op >> 1 & 2, op >> 1 & 1 | op >> 2 & 2) for op in range(16)]
-_DIAG = [op & 1 | op >> 2 & 2 for op in range(16)]
-
 
 def _bits(table: int, *positions: int) -> int:
     """The bits of ``table`` at ``positions``, packed low bit first."""
     return sum((table >> p & 1) << k for k, p in enumerate(positions))
 
+
+# _LEFT[op][v] is the residual of op(v, x) for terminal v, _RIGHT[op][v]
+# that of op(x, v), and _DIAG[op] that of op(x, x).
+_LEFT = [(_bits(op, 0, 1), _bits(op, 2, 3)) for op in range(16)]
+_RIGHT = [(_bits(op, 0, 2), _bits(op, 1, 3)) for op in range(16)]
+_DIAG = [_bits(op, 0, 3) for op in range(16)]
 
 # A ternary operation is coded by its 8-bit truth table: bit
 # ``4*a + 2*b + c`` is op(a, b, c).  On a terminal operand, or two equal
@@ -165,7 +167,8 @@ class BddManager:
     tuple that is also its key in the unique table.  The store is
     append-only, so ``nodes_created`` is read off its length.  Operations
     are coded by their truth tables, and every model count, cached or
-    not, is over all ``var_count`` variables.
+    not, is over all ``var_count`` variables.  Single-node and pairwise
+    AND counts share one count cache.
 
     ``cache_capacity`` bounds the operation cache only (the node
     store itself is never evicted): the cache is one dict, shared by
@@ -289,12 +292,11 @@ class BddManager:
         A pairwise traversal of both DAGs; equals
         ``sat_count(apply('and', a, b))`` but creates no nodes.
         """
-        return self._count2(_AND, self._unwrap(a), self._unwrap(b))
+        return self._count_and(self._unwrap(a), self._unwrap(b))
 
-    @_depth_guarded
     def sat_count_andnot(self, a: NodeRef, b: NodeRef) -> int:
-        """Model count of ``a AND NOT b`` without materializing it."""
-        return self._count2(_ANDNOT, self._unwrap(a), self._unwrap(b))
+        """Model count of ``a AND NOT b``: ``a``'s count less that of ``a AND b``."""
+        return self.sat_count(a) - self.sat_count_and(a, b)
 
     def evaluate(self, a: NodeRef, assignment) -> bool:
         """Evaluate under a full assignment (sequence of ``var_count`` bits)."""
@@ -331,11 +333,13 @@ class BddManager:
         return len(self._nodes) - 2
 
     def clear_caches(self) -> None:
-        """Start the operation, NOT and count caches empty; nodes are kept."""
+        """Start the three caches (operation, NOT, count) empty; nodes are kept."""
         self._apply_cache: dict[tuple[int, ...], int] = {}
         self._not_cache: dict[int, int] = {}
-        self._count_cache: dict[int, int] = {0: 0, 1: 1 << self.var_count}
-        self._count2_cache: dict[tuple[int, int, int], int] = {}
+        self._count_cache: dict[int | tuple[int, int], int] = {
+            0: 0,
+            1: 1 << self.var_count,
+        }
 
     # -- internals ------------------------------------------------------------
 
@@ -457,18 +461,15 @@ class BddManager:
             r = cache[u] = (self._count(low) + self._count(high)) >> 1
         return r
 
-    def _count2(self, op: int, u: int, v: int) -> int:
-        # Satisfying assignments of op(u, v) over all variables.
-        if u < 2:
-            return self._count_unary(_LEFT[op][u], v)
-        if v < 2:
-            return self._count_unary(_RIGHT[op][v], u)
-        if u == v:
-            return self._count_unary(_DIAG[op], u)
-        if u > v and op in _COMMUTATIVE:
+    def _count_and(self, u: int, v: int) -> int:
+        # Satisfying assignments of u AND v over all variables, cached on
+        # the ordered pair beside the single-node counts.
+        if u > v:
             u, v = v, u
-        key = (op, u, v)
-        cache = self._count2_cache
+        if u < 2 or u == v:
+            return self._count(v) if u else 0
+        key = (u, v)
+        cache = self._count_cache
         r = cache.get(key)
         if r is None:
             lu, u0, u1 = self._nodes[u]
@@ -477,15 +478,6 @@ class BddManager:
                 v0 = v1 = v
             elif lv < lu:
                 u0 = u1 = u
-            r = self._count2(op, u0, v0) + self._count2(op, u1, v1)
+            r = self._count_and(u0, v0) + self._count_and(u1, v1)
             r = cache[key] = r >> 1
         return r
-
-    def _count_unary(self, kind: int, u: int) -> int:
-        if kind == _U_CONST0:
-            return 0
-        if kind == _U_CONST1:
-            return 1 << self.var_count
-        if kind == _U_SAME:
-            return self._count(u)
-        return (1 << self.var_count) - self._count(u)

@@ -153,7 +153,11 @@ def cmd_search(args) -> int:
     seed_circuit = parse_file(args.seed_circuit)
     tau = args.tau
     if args.tau_range is not None:
+        # A WCE is an integer, so the range bound's integer part is exact
+        # for it; an MAE bound keeps its fraction.
         tau = range_threshold(seed_circuit, args.tau_range)
+        if args.metric == metrics.MAE:
+            tau = args.tau_range * ((1 << seed_circuit.output_count) - 1)
     if tau < 0:
         raise SystemExit("threshold must be non-negative")
     if args.metric == metrics.WCE:

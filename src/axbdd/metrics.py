@@ -352,9 +352,7 @@ def compute(
         fn = table[algorithm]
     except KeyError:
         raise ValueError(f"unknown algorithm {algorithm!r}") from None
-    # Without a limit a family gets the word alone, so a dispatch entry
-    # that takes only the word (a stand-in family, say) still works.
-    return fn(eps) if limit is None else fn(eps, limit=limit)
+    return fn(eps, limit=limit)
 
 
 def evaluate_error(

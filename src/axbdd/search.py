@@ -40,6 +40,11 @@ from .circuit import Circuit
 NODE_LIMIT = 100_000
 
 
+def _finite_non_negative(x) -> bool:
+    """Whether ``x`` is a real number in [0, inf); a ``bool`` is not one."""
+    return not isinstance(x, bool) and isinstance(x, Real) and 0 <= x < math.inf
+
+
 @dataclass
 class SearchConfig:
     """Knobs of one search run.
@@ -64,8 +69,7 @@ class SearchConfig:
             raise ValueError(f"search metric must be wce or mae, got {self.metric!r}")
         if self.algorithm not in metrics.ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        tau = self.threshold
-        if isinstance(tau, bool) or not (isinstance(tau, Real) and 0 <= tau < math.inf):
+        if not _finite_non_negative(self.threshold):
             raise ValueError("threshold must be a finite number >= 0")
         if type(self.offspring) is not int or self.offspring < 1:
             raise ValueError("offspring must be an integer >= 1")
@@ -76,7 +80,7 @@ class SearchConfig:
         gens, secs = self.max_generations, self.max_seconds
         if gens is not None and (type(gens) is not int or gens < 0):
             raise ValueError("max_generations must be None or an integer >= 0")
-        if secs is not None and not (isinstance(secs, Real) and 0 <= secs < math.inf):
+        if secs is not None and not _finite_non_negative(secs):
             raise ValueError("max_seconds must be None or a finite number >= 0")
 
 

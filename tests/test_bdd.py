@@ -213,8 +213,6 @@ def test_terminal_and_equal_operands(op):
         node = m.apply(op, a, b)
         for bits in all_assignments(3):
             assert m.evaluate(node, bits) == bool(PY_OPS[op](fa(bits), fb(bits)))
-        # The pairwise counter takes any operation code, not only and/andnot.
-        assert m._count2(_OP_CODES[op], a.index, b.index) == m.sat_count(node)
         assert m.sat_count_and(a, b) == m.sat_count(m.apply("and", a, b))
         assert m.sat_count_andnot(a, b) == m.sat_count(m.apply("andnot", a, b))
 
@@ -296,6 +294,27 @@ def test_build_runs_a_program_on_node_ints():
     assert handles[0] is handles[4] is m.not_(m.apply("xor", x, y))
 
 
+def test_build_runs_every_binary_code():
+    # Bit 2a + b of a code is op(a, b), for all 16 codes: with a terminal
+    # in each position, on equal operands and on two distinct functions.
+    m = BddManager(3)
+    fns = {
+        0: lambda bits: 0,
+        1: lambda bits: 1,
+        5: lambda bits: bits[0] ^ bits[2],
+        6: lambda bits: bits[1] | bits[2],
+    }
+    prefix = [(_OP_CODES["xor"], 2, 4), (_OP_CODES["or"], 3, 4)]  # slots 5, 6
+    pairs = [(0, 5), (1, 5), (5, 0), (5, 1), (0, 1), (1, 0), (5, 5), (5, 6)]
+    for code in range(16):
+        program = prefix + [(code, i, j) for i, j in pairs]
+        handles = m.build(program, range(7, 7 + len(pairs)))
+        for (i, j), node in zip(pairs, handles):
+            for bits in all_assignments(3):
+                expected = code >> (2 * fns[i](bits) + fns[j](bits)) & 1
+                assert m.evaluate(node, bits) == bool(expected), (code, i, j, bits)
+
+
 def test_counts_on_a_wide_manager():
     n = 200
     m = BddManager(n)
@@ -372,14 +391,11 @@ def _check_clear_caches_keeps_results(capacity):
     a = m.apply("xor", m.var(0), m.var(1))
     b = m.apply("or", m.var(1), m.not_(m.var(2)))
     counts = (m.sat_count(a), m.sat_count_and(a, b))
+    # A conjunction's count sits in the count cache under the ordered pair.
+    assert (min(a.index, b.index), max(a.index, b.index)) in m._count_cache
     m.clear_caches()
     fresh = BddManager(4, cache_capacity=capacity)
-    for cache in (
-        "_apply_cache",
-        "_not_cache",
-        "_count_cache",
-        "_count2_cache",
-    ):
+    for cache in ("_apply_cache", "_not_cache", "_count_cache"):
         assert getattr(m, cache) == getattr(fresh, cache), cache
     assert m.apply("xor", m.var(0), m.var(1)) is a
     assert (m.sat_count(a), m.sat_count_and(a, b)) == counts == (8, 6)

@@ -100,7 +100,7 @@ def test_record_result_property():
 def test_per_record_failure_is_captured(monkeypatch):
     import axbdd.metrics as metrics_mod
 
-    def flaky(eps):
+    def flaky(eps, *, limit=None):
         raise RuntimeError("synthetic fault")
 
     monkeypatch.setitem(metrics_mod._WCE_ALGORITHMS, "ones", flaky)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -241,7 +242,7 @@ def test_verify_agreement(pair, capsys):
 def test_verify_detects_corruption(pair, capsys, monkeypatch):
     import axbdd.metrics as metrics_mod
 
-    def wrong(eps):
+    def wrong(eps, *, limit=None):
         real = metrics_mod.wce_baseline(eps)
         return metrics_mod.ErrorValue(
             real.kind, "ones", real.value + 1, real.input_count, real.output_count
@@ -331,7 +332,16 @@ def test_search_rejects_nan_time_budget(tmp_path, capsys):
     assert "max_seconds" in capsys.readouterr().err
 
 
-def test_search_tau_range(tmp_path, capsys):
+def test_search_tau_range(tmp_path, capsys, monkeypatch):
+    import axbdd.cli as cli_mod
+
+    thresholds, real_run_search = [], cli_mod.run_search
+
+    def spy(seed_circuit, cfg):
+        thresholds.append(cfg.threshold)
+        return real_run_search(seed_circuit, cfg)
+
+    monkeypatch.setattr(cli_mod, "run_search", spy)
     seed_file = tmp_path / "seed.net"
     seed_file.write_text(emit(gen_adder("rca", 3, False)))
     out = tmp_path / "best.net"
@@ -342,6 +352,14 @@ def test_search_tau_range(tmp_path, capsys):
     assert code == 0
     seed = parse_file(seed_file)
     assert oracle_metrics(seed, parse_file(out))[0] <= int(0.2 * 15)
+    # An MAE bound keeps its fraction: 1/7 of the range 15 is 15/7, not 2.
+    code = run_cli(
+        ["search", "--seed-circuit", str(seed_file), "--metric", "mae",
+         "--tau-range", "1/7", "--budget", "8", "--out", str(out)]
+    )
+    assert code == 0
+    assert thresholds == [3, Fraction(15, 7)]
+    assert type(thresholds[0]) is int
 
 
 def test_bench_command(tmp_path, capsys):

@@ -111,7 +111,7 @@ def test_config_validation():
         SearchConfig(metric="wce", threshold=0, max_generations=1, algorithm="x")
     # A budget that never trips (NaN, infinity) or is meaningless must not
     # reach run_search; these are only constructed, never run.
-    for seconds in (float("nan"), float("inf"), -1.0, "5"):
+    for seconds in (float("nan"), float("inf"), -1.0, "5", True):
         with pytest.raises(ValueError, match="max_seconds"):
             SearchConfig(metric="wce", threshold=0, max_seconds=seconds)
     for generations in (-1, 2.5, True, "3"):
