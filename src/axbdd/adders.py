@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .circuit import Circuit, Gate
+from .circuit import GATES, Circuit, Gate
 
 RCA = "rca"
 CLA = "cla"
@@ -19,8 +19,10 @@ ADDER_KINDS = (RCA, CLA, CSKA)
 
 _BLOCK = 4
 
-_TWO_INPUT_OPS = ("AND", "OR", "XOR", "NAND", "NOR", "XNOR")
-_ONE_INPUT_OPS = ("BUF", "NOT")
+# The gate operations by input count, in table order.
+_CONST_OPS, _ONE_INPUT_OPS, _TWO_INPUT_OPS = (
+    tuple(op for op, (arity, _) in GATES.items() if arity == k) for k in range(3)
+)
 
 
 class _Builder:
@@ -166,6 +168,8 @@ def mutate(circuit: Circuit, seed: int, edits: int) -> Circuit:
     """
     if edits < 1:
         raise ValueError("edits must be >= 1")
+    if not circuit.gates:
+        raise ValueError(f"circuit {circuit.name!r} has no gates to mutate")
     rng = random.Random(seed)
     gates = list(circuit.gates)
     for _ in range(edits):
@@ -196,7 +200,7 @@ def mutate(circuit: Circuit, seed: int, edits: int) -> Circuit:
                     rng.choice(_ONE_INPUT_OPS), (rng.choice(earlier),), g.out
                 )
         else:
-            gates[idx] = Gate(rng.choice(("CONST0", "CONST1")), (), g.out)
+            gates[idx] = Gate(rng.choice(_CONST_OPS), (), g.out)
     return Circuit(
         name=circuit.name,
         inputs=circuit.inputs,

@@ -255,8 +255,12 @@ class BddManager:
         Slot 0 is FALSE, slot 1 TRUE and slot ``2 + i`` variable ``i``;
         each step ``(code, i, j)`` of ``program`` appends the binary
         operation with 4-bit truth table ``code`` (bit ``2*a + b`` is
-        op(a, b)) of slots ``i`` and ``j``.  Code ``0b0011`` on ``(i, i)``
-        is NOT.  Only the slots listed in ``outputs`` get handles.
+        op(a, b)) of slots ``i`` and ``j``.  A unary step is a code on
+        ``(i, i)`` (``0b1100`` copies slot ``i``, ``0b0011`` complements
+        it) and a constant one a code on ``(0, 0)`` (``0b0000``,
+        ``0b1111``); the equal-operand and terminal shortcuts answer both
+        without a binary recursion.  Only the slots listed in ``outputs``
+        get handles.
         """
         slots = [0, 1]
         slots += [self._mk(level, 0, 1) for level in range(self.var_count)]

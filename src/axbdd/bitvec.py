@@ -5,8 +5,10 @@ compile into words; subtracting the words of two circuits yields the
 signed difference function every error metric is computed on.
 
 :func:`compile_circuit` translates a netlist into one straight-line
-program of binary truth-table codes and runs it on the manager's node
-integers, so only the output word gets handles.
+program of binary truth-table codes, one step per gate, and runs it on
+the manager's node integers, so only the output word gets handles.  The
+codes are this module's own, kept apart from the evaluators that
+:mod:`axbdd.circuit` simulates with, so each side checks the other.
 
 :func:`add` and :func:`subtract` share one ripple-carry cell,
 :func:`_ripple`: two ternary kernel calls per bit, XOR3 for the sum and
@@ -22,10 +24,11 @@ from dataclasses import dataclass
 from .bdd import _OP_CODES, BddError, BddManager, NodeRef
 from .circuit import Circuit, bits_to_int
 
-# 4-bit truth-table codes of the gates, bit 2a + b = op(a, b); NOT is
-# the code of NOT a, applied with its one input as both operands.
+# 4-bit truth-table codes of the gates, bit 2a + b = op(a, b).  A unary
+# gate is applied with its one input as both operands, so BUF is the code
+# of a and NOT that of NOT a; a constant is applied to FALSE twice.
 _GATE_CODES = {op.upper(): code for op, code in _OP_CODES.items()}
-_GATE_CODES["NOT"] = 0b0011
+_GATE_CODES.update(CONST0=0b0000, CONST1=0b1111, BUF=0b1100, NOT=0b0011)
 
 # 8-bit truth tables of the ripple cell, bit 4a + 2b + c = op(a, b, c):
 # the sum a ^ b ^ c and the carry MAJ(a, b, c), and both with b inverted.
@@ -66,9 +69,8 @@ def compile_circuit(manager: BddManager, circuit: Circuit) -> BddWord:
 
     The manager must have exactly the circuit's input count as
     variables; input declaration order is the variable order.  The
-    gates become one :meth:`BddManager.build` program: a wire is a slot
-    number, CONST and BUF gates alias a slot, and only the outputs get
-    handles.
+    gates become one :meth:`BddManager.build` program, one step per
+    gate: a wire is a slot number, and only the outputs get handles.
     """
     if manager.var_count != circuit.input_count:
         raise BddError(
@@ -76,19 +78,13 @@ def compile_circuit(manager: BddManager, circuit: Circuit) -> BddWord:
             f"circuit {circuit.name!r} has {circuit.input_count} inputs"
         )
     slot = {name: 2 + i for i, name in enumerate(circuit.inputs)}
+    slot[None] = 0  # a constant's operands: FALSE, under a key no wire has
+    first_gate = 2 + circuit.input_count
     program = []
-    for g in circuit.gates:
-        op = g.op
-        if op == "CONST0":
-            slot[g.out] = 0
-        elif op == "CONST1":
-            slot[g.out] = 1
-        elif op == "BUF":
-            slot[g.out] = slot[g.inputs[0]]
-        else:
-            ins = g.inputs
-            program.append((_GATE_CODES[op], slot[ins[0]], slot[ins[-1]]))
-            slot[g.out] = circuit.input_count + 1 + len(program)
+    for k, g in enumerate(circuit.gates):
+        ins = g.inputs or (None,)
+        program.append((_GATE_CODES[g.op], slot[ins[0]], slot[ins[-1]]))
+        slot[g.out] = first_gate + k
     bits = manager.build(program, [slot[w] for w in circuit.outputs])
     return BddWord(tuple(bits), circuit.signed)
 

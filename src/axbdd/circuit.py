@@ -9,12 +9,18 @@ The text format is line oriented (``#`` starts a comment)::
     .gate <OP> <in1> [<in2>] -> <out>
     .end
 
-``CONST0``/``CONST1`` take no inputs, ``BUF``/``NOT`` one, all other
-gates two.  Gates must appear in topological order, one per line.
+The gate operations and their input counts are the rows of
+:data:`GATES`.  Gates must appear in topological order, one per line.
 
 :func:`parse` checks the syntax (directives, token shape, ``.inputs``
 before gates) and :class:`Circuit` the wires (arity, definition order,
 duplicates, outputs); a parse error names its line wherever it has one.
+
+Both referees, :func:`simulate` and the enumeration oracle
+:func:`oracle_metrics`, evaluate gates through the one table
+:data:`GATES`.  The BDD compiler in :mod:`axbdd.bitvec` codes the same
+gates as truth tables of its own, so a wrong entry on either side shows
+up as a mismatch between the BDD and the referees.
 """
 
 from __future__ import annotations
@@ -24,17 +30,21 @@ from fractions import Fraction
 
 import numpy as np
 
-GATE_ARITY = {
-    "CONST0": 0,
-    "CONST1": 0,
-    "BUF": 1,
-    "NOT": 1,
-    "AND": 2,
-    "OR": 2,
-    "XOR": 2,
-    "NAND": 2,
-    "NOR": 2,
-    "XNOR": 2,
+#: Every gate operation: name -> (input count, evaluator).  An evaluator
+#: takes two operands, each a 0/1 int or a numpy bool array, and returns
+#: the same kind; a unary gate gets its input twice, a constant the
+#: circuit's first input twice.  The order is the order mutations draw in.
+GATES = {
+    "CONST0": (0, lambda a, b: a & False),
+    "CONST1": (0, lambda a, b: a | True),
+    "BUF": (1, lambda a, b: a),
+    "NOT": (1, lambda a, b: a ^ True),
+    "AND": (2, lambda a, b: a & b),
+    "OR": (2, lambda a, b: a | b),
+    "XOR": (2, lambda a, b: a ^ b),
+    "NAND": (2, lambda a, b: (a & b) ^ True),
+    "NOR": (2, lambda a, b: (a | b) ^ True),
+    "XNOR": (2, lambda a, b: (a ^ b) ^ True),
 }
 
 #: Largest input count the exhaustive oracle will enumerate by default.
@@ -108,9 +118,9 @@ class Circuit:
                 raise NetlistError(f"duplicate input {w!r}")
             defined.add(w)
         for i, g in enumerate(self.gates):
-            arity = GATE_ARITY.get(g.op)
-            if arity is None:
+            if g.op not in GATES:
                 raise NetlistError(f"unknown gate operation {g.op!r}", gate=i)
+            arity = GATES[g.op][0]
             if len(g.inputs) != arity:
                 raise NetlistError(
                     f"{g.op} takes {arity} input(s), got {len(g.inputs)}", gate=i
@@ -245,16 +255,13 @@ def emit(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-_GATE_EVAL = {
-    "BUF": lambda a, b: a,
-    "NOT": lambda a, b: 1 - a,
-    "AND": lambda a, b: a & b,
-    "OR": lambda a, b: a | b,
-    "XOR": lambda a, b: a ^ b,
-    "NAND": lambda a, b: 1 - (a & b),
-    "NOR": lambda a, b: 1 - (a | b),
-    "XNOR": lambda a, b: 1 - (a ^ b),
-}
+def _run_gates(c: Circuit, values: dict) -> dict:
+    """Evaluate every gate in order into ``values``, which holds the inputs."""
+    first = c.inputs[:1]
+    for g in c.gates:
+        ins = g.inputs or first
+        values[g.out] = GATES[g.op][1](values[ins[0]], values[ins[-1]])
+    return values
 
 
 def simulate(c: Circuit, assignment) -> OutputWord:
@@ -263,16 +270,7 @@ def simulate(c: Circuit, assignment) -> OutputWord:
         raise ValueError(
             f"assignment has {len(assignment)} bits, circuit has {c.input_count} inputs"
         )
-    values = dict(zip(c.inputs, (int(bool(v)) for v in assignment)))
-    for g in c.gates:
-        if g.op == "CONST0":
-            values[g.out] = 0
-        elif g.op == "CONST1":
-            values[g.out] = 1
-        else:
-            a = values[g.inputs[0]]
-            b = values[g.inputs[1]] if len(g.inputs) == 2 else 0
-            values[g.out] = _GATE_EVAL[g.op](a, b)
+    values = _run_gates(c, dict(zip(c.inputs, (int(bool(v)) for v in assignment))))
     return OutputWord(tuple(values[w] for w in c.outputs), c.signed)
 
 
@@ -310,34 +308,10 @@ def check_interface(f: Circuit, fp: Circuit) -> None:
 def _batch_values(c: Circuit, idx: np.ndarray) -> np.ndarray:
     """Output integers for a batch of assignment indices (input i = bit i)."""
     one = np.uint64(1)
-    wires: dict[str, np.ndarray] = {}
-    for i, name in enumerate(c.inputs):
-        wires[name] = ((idx >> np.uint64(i)) & one).astype(bool)
-    for g in c.gates:
-        op = g.op
-        if op == "CONST0":
-            v = np.zeros(idx.shape, dtype=bool)
-        elif op == "CONST1":
-            v = np.ones(idx.shape, dtype=bool)
-        elif op == "BUF":
-            v = wires[g.inputs[0]]
-        elif op == "NOT":
-            v = ~wires[g.inputs[0]]
-        else:
-            a, b = wires[g.inputs[0]], wires[g.inputs[1]]
-            if op == "AND":
-                v = a & b
-            elif op == "OR":
-                v = a | b
-            elif op == "XOR":
-                v = a ^ b
-            elif op == "NAND":
-                v = ~(a & b)
-            elif op == "NOR":
-                v = ~(a | b)
-            else:  # XNOR
-                v = ~(a ^ b)
-        wires[g.out] = v
+    wires = _run_gates(c, {
+        name: ((idx >> np.uint64(i)) & one).astype(bool)
+        for i, name in enumerate(c.inputs)
+    })
     values = np.zeros(idx.shape, dtype=np.int64)
     for i, name in enumerate(c.outputs):
         weight = 1 << i

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from axbdd import Circuit, Gate, bits_to_int, int_value, simulate
-from axbdd.circuit import GATE_ARITY
+from axbdd.circuit import GATES
 
 
 def all_assignments(n):
@@ -14,8 +14,10 @@ def all_assignments(n):
 def brute_force_metrics(f, fp):
     """Reference triple (wce, abs_sum, diff_count) by plain simulation.
 
-    Deliberately naive: a scalar loop over every assignment, independent
-    of both the vectorized oracle and the BDD algorithms.
+    Deliberately naive: a scalar loop over every assignment with its own
+    sum and maximum.  It shares the gate evaluators of ``circuit.GATES``
+    with the vectorized oracle, but not the oracle's enumeration, chunking
+    or accumulation, and nothing of the BDD algorithms.
     """
     wce = 0
     abs_sum = 0
@@ -36,8 +38,8 @@ def random_netlist(rng, name, inputs, output_count, signed):
     wires = list(inputs)
     gates = []
     for k in range(rng.randint(0, 10)):
-        op = rng.choice(tuple(GATE_ARITY))
-        args = tuple(rng.choice(wires) for _ in range(GATE_ARITY[op]))
+        op = rng.choice(tuple(GATES))
+        args = tuple(rng.choice(wires) for _ in range(GATES[op][0]))
         gates.append(Gate(op, args, f"w{k}"))
         wires.append(f"w{k}")
     outputs = tuple(rng.choice(wires) for _ in range(output_count))

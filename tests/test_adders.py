@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from axbdd import emit, gen_adder, int_value, mutate, simulate
+from axbdd import Circuit, emit, gen_adder, int_value, mutate, simulate
 from axbdd.circuit import _batch_values
 
 from conftest import adder_value_pair, all_assignments
@@ -79,6 +79,12 @@ def test_mutate_requires_edits():
     c = gen_adder("rca", 4, False)
     with pytest.raises(ValueError):
         mutate(c, 1, 0)
+
+
+def test_mutate_names_a_circuit_without_gates():
+    c = Circuit("id", ("a", "b"), ("a", "b"), ())
+    with pytest.raises(ValueError, match="circuit 'id' has no gates to mutate"):
+        mutate(c, 1, 1)
 
 
 def test_mutate_preserves_interface_and_validity():

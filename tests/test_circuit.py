@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from axbdd import (
+    BddManager,
     Circuit,
     Gate,
     InterfaceMismatchError,
@@ -12,6 +14,7 @@ from axbdd import (
     OutputWord,
     bits_to_int,
     check_interface,
+    compile_circuit,
     emit,
     evaluate_error,
     gen_adder,
@@ -21,6 +24,7 @@ from axbdd import (
     parse,
     simulate,
 )
+from axbdd.circuit import _batch_values
 
 from conftest import HALF_ADDER_TEXT, adder_value_pair, all_assignments, brute_force_metrics
 
@@ -47,6 +51,19 @@ def test_simulate_half_adder():
     assert int_value(out) == 2
 
 
+def check_rows(c, table):
+    """Each row's output by simulate, by the oracle's vectorized pass over
+    every assignment index, and by the compiled BDD."""
+    batch = _batch_values(c, np.arange(1 << c.input_count, dtype=np.uint64))
+    m = BddManager(c.input_count)
+    (bit,) = compile_circuit(m, c).bits
+    for bits, expected in table.items():
+        use = bits[: c.input_count]
+        assert simulate(c, use).bits == (expected,), use
+        assert batch[bits_to_int(use, False)] == expected, use
+        assert m.evaluate(bit, use) == expected, use
+
+
 @pytest.mark.parametrize(
     "op,table",
     [
@@ -71,9 +88,36 @@ def test_gate_semantics(op, table):
         outputs=("o",),
         gates=(Gate(op, ins, "o"),),
     )
-    for bits, expected in table.items():
-        use = bits[: c.input_count]
-        assert simulate(c, use).bits == (expected,)
+    check_rows(c, table)
+
+
+# Gates fed by a constant wire, k0 = CONST0 and k1 = CONST1; compiled,
+# they meet the kernel's terminal and equal-operand shortcuts.
+@pytest.mark.parametrize(
+    "op,ins,table",
+    [
+        ("BUF", ("k0",), {(0,): 0, (1,): 0}),
+        ("BUF", ("k1",), {(0,): 1, (1,): 1}),
+        ("NOT", ("k0",), {(0,): 1, (1,): 1}),
+        ("NOT", ("k1",), {(0,): 0, (1,): 0}),
+        ("AND", ("k1", "i0"), {(0,): 0, (1,): 1}),
+        ("AND", ("i0", "k0"), {(0,): 0, (1,): 0}),
+        ("OR", ("k0", "i0"), {(0,): 0, (1,): 1}),
+        ("OR", ("i0", "k1"), {(0,): 1, (1,): 1}),
+        ("XOR", ("i0", "k1"), {(0,): 1, (1,): 0}),
+        ("NAND", ("k0", "i0"), {(0,): 1, (1,): 1}),
+        ("NOR", ("k0", "k0"), {(0,): 1, (1,): 1}),
+        ("XNOR", ("k1", "k0"), {(0,): 0, (1,): 0}),
+    ],
+)
+def test_constant_fed_gate_semantics(op, ins, table):
+    c = Circuit(
+        name="k",
+        inputs=("i0",),
+        outputs=("o",),
+        gates=(Gate("CONST0", (), "k0"), Gate("CONST1", (), "k1"), Gate(op, ins, "o")),
+    )
+    check_rows(c, table)
 
 
 def test_simulate_length_mismatch(identity2):

@@ -293,6 +293,16 @@ def test_search_deterministic_outputs(tmp_path, capsys):
     assert one_run("a") == one_run("b")
 
 
+def test_search_gateless_seed_exits_2(tmp_path, capsys):
+    seed_file = tmp_path / "id.net"
+    seed_file.write_text(".model id\n.inputs a b\n.outputs a b\n.end\n")
+    code = run_cli(
+        ["search", "--seed-circuit", str(seed_file), "--tau", "0", "--budget", "8"]
+    )
+    assert code == 2
+    assert "circuit 'id' has no gates to mutate" in capsys.readouterr().err
+
+
 def test_search_rejects_negative_tau(tmp_path, capsys):
     seed_file = tmp_path / "seed.net"
     seed_file.write_text(emit(gen_adder("rca", 3, False)))
