@@ -20,7 +20,6 @@ import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
-from numbers import Real
 
 from . import metrics
 from .adders import ADDER_KINDS, gen_adder, mutate
@@ -113,7 +112,7 @@ class CorpusSpec:
             if type(count) is not int or count < least:
                 raise ValueError(f"{key} must be an integer >= {least}, got {count!r}")
         tau = self.evolve_tau_range
-        if isinstance(tau, bool) or not (isinstance(tau, Real) and 0 <= tau <= 1):
+        if not (metrics._finite_non_negative(tau) and tau <= 1):
             raise ValueError(f"evolve_tau_range must be a number in [0, 1], got {tau!r}")
         capacity = self.cache_capacity
         if capacity is not None and (type(capacity) is not int or capacity < 1):

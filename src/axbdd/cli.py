@@ -2,8 +2,8 @@
 
 Subcommands: ``gen`` (seed adders), ``eval`` (one metric on a circuit
 pair), ``verify`` (all algorithms plus the enumeration oracle must
-agree), ``bench`` (corpus timing), ``search`` (threshold-constrained
-approximation).
+agree, and every WCE witness must attain its value), ``bench`` (corpus
+timing), ``search`` (threshold-constrained approximation).
 
 Exit codes: 0 ok, 2 usage or bad input (a malformed netlist, or BDDs too
 deep for Python's recursion limit), 3 interface mismatch, 4 oracle
@@ -28,8 +28,10 @@ from .circuit import (
     OracleLimitError,
     check_interface,
     emit,
+    int_value,
     oracle_metrics,
     parse_file,
+    simulate,
 )
 from .search import SearchConfig, range_threshold, run_search, write_history
 
@@ -97,6 +99,15 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _witness_problem(golden, approx, manager, result) -> str | None:
+    """Why a WCE result's witness does not attain its value, or ``None``."""
+    if result.witness is None:
+        return "no witness"
+    point = manager.pick_assignment(result.witness)
+    gap = abs(int_value(simulate(golden, point)) - int_value(simulate(approx, point)))
+    return None if gap == result.value else f"its witness attains {gap}"
+
+
 def cmd_verify(args) -> int:
     golden, approx = _load_pair(args)
     # One shared manager: after the first call, compile and subtract hit the cache.
@@ -106,30 +117,37 @@ def cmd_verify(args) -> int:
         for algo in metrics.ALGORITHMS:
             results[(metric, algo)] = metrics.evaluate_error(
                 golden, approx, metric, algo, manager
-            ).value
+            )
     try:
         wce, mae, _ = oracle_metrics(golden, approx, limit=args.max_oracle_bits)
         oracle = {metrics.WCE: wce, metrics.MAE: mae}
     except OracleLimitError:
         oracle = None
 
-    failures = []
+    failures = 0
     for metric in (metrics.WCE, metrics.MAE):
-        values = {algo: results[(metric, algo)] for algo in metrics.ALGORITHMS}
-        expected = oracle[metric] if oracle else values[metrics.BASELINE]
+        baseline = results[(metric, metrics.BASELINE)].value
+        expected = oracle[metric] if oracle else baseline
         source = "oracle" if oracle else metrics.BASELINE
-        for algo, value in values.items():
-            ok = value == expected
+        for algo in metrics.ALGORITHMS:
+            result = results[(metric, algo)]
+            problems = []
+            if result.value != expected:
+                problems.append(f"expected {expected} from {source}")
+            # The values alone pass a fault every family shares, so each WCE
+            # witness is also checked by simulating both circuits there.
+            if metric == metrics.WCE:
+                problems.append(_witness_problem(golden, approx, manager, result))
+            problems = [p for p in problems if p]
             print(
-                f"{metric} {algo:<9} = {value}"
-                + ("" if ok else f"  MISMATCH (expected {expected} from {source})")
+                f"{metric} {algo:<9} = {result.value}"
+                + (f"  MISMATCH ({'; '.join(problems)})" if problems else "")
             )
-            if not ok:
-                failures.append((metric, algo, value, expected))
+            failures += bool(problems)
         if oracle:
             print(f"{metric} oracle    = {expected}")
     if failures:
-        print(f"{len(failures)} disagreement(s)", file=sys.stderr)
+        print(f"{failures} disagreement(s)", file=sys.stderr)
         return EXIT_VERIFY
     print("all algorithms agree" + (" with the oracle" if oracle else ""))
     return EXIT_OK

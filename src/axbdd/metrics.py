@@ -29,7 +29,8 @@ partial or lower-bound value ever leaves it.  This works because every
 running value only grows: a WCE search sets bits from the most
 significant end, and an MAE sum adds non-negative per-bit terms, most
 significant first.  A threshold-constrained search uses it to reject a
-candidate over its bound without computing the exact error.
+candidate over its bound without computing the exact error.  Each
+family body holds only its algorithm; this contract is written once.
 """
 
 from __future__ import annotations
@@ -111,12 +112,17 @@ def exact_value(numerator: int, e: int) -> int | Fraction:
     return Fraction(numerator, 1 << e) if e else numerator
 
 
+def _finite_non_negative(x) -> bool:
+    """Whether ``x`` is a real number in [0, inf); a ``bool`` is not one."""
+    return not isinstance(x, bool) and isinstance(x, Real) and 0 <= x < math.inf
+
+
 def _scaled_limit(limit, scale: int = 1) -> int | None:
     """``floor(limit * scale)``, the greatest integer total within ``limit``
     on a scale of ``scale`` per unit; ``None`` for no limit."""
     if limit is None:
         return None
-    if isinstance(limit, bool) or not (isinstance(limit, Real) and 0 <= limit < math.inf):
+    if not _finite_non_negative(limit):
         raise ValueError(f"limit must be None or a finite number >= 0, got {limit!r}")
     return math.floor(Fraction(limit) * scale)
 
@@ -132,11 +138,31 @@ def _weighted_count(count, bits, total: int, stop: int | None) -> int | None:
     return None if stop is not None and total > stop else total
 
 
-def _require_difference_word(eps: BddWord) -> None:
+def _preamble(eps: BddWord, limit, metric: str) -> tuple[BddManager, int | None]:
+    """Check the signed difference word, then read ``limit`` as the integer
+    stop on the metric's scale: 1 per unit for WCE, 2^n for an MAE total."""
     if not eps.signed:
         raise ValueError("expected the signed difference word from subtract()")
     if eps.width < 2:
         raise ValueError("difference word must carry a sign bit above the magnitude")
+    manager = eps.manager
+    return manager, _scaled_limit(limit, 1 if metric == WCE else 1 << manager.var_count)
+
+
+def _wce_result(eps: BddWord, algorithm: str, found) -> ErrorValue | None:
+    """The WCE of a family's ``(value, witness)``; ``None`` passes on."""
+    if found is None:
+        return None
+    wce, mu = found
+    return ErrorValue(WCE, algorithm, wce, eps.manager.var_count, eps.width - 1, mu)
+
+
+def _mae_result(eps: BddWord, algorithm: str, total: int | None) -> ErrorValue | None:
+    """The MAE of a family's integer total over 2^n; ``None`` passes on."""
+    if total is None:
+        return None
+    n = eps.manager.var_count
+    return ErrorValue(MAE, algorithm, Fraction(total, 1 << n), n, eps.width - 1)
 
 
 def _masked_magnitude(eps: BddWord) -> BddWord:
@@ -148,6 +174,12 @@ def _masked_magnitude(eps: BddWord) -> BddWord:
         tuple(manager.apply("xor", b, sign) for b in eps.bits[:-1]),
         signed=False,
     )
+
+
+def _absolute(eps: BddWord) -> BddWord:
+    """|eps| in two's complement: the masked magnitude plus the sign bit
+    (``add`` stays a module global, which the benchmark tracer rebinds)."""
+    return add(_masked_magnitude(eps), BddWord((eps.sign_bit,), signed=False))
 
 
 def _search_max(manager, bits, mu, invert=False, stop=None):
@@ -176,30 +208,16 @@ def _search_max(manager, bits, mu, invert=False, stop=None):
 
 def wce_baseline(eps: BddWord, *, limit=None) -> ErrorValue | None:
     """Worst-case error via the full two's-complement absolute value."""
-    stop = _scaled_limit(limit)
-    _require_difference_word(eps)
-    manager = eps.manager
-    sign = eps.sign_bit
-    magnitude = add(_masked_magnitude(eps), BddWord((sign,), signed=False))
-    found = _search_max(manager, magnitude.bits, manager.true, stop=stop)
-    if found is None:
-        return None
-    wce, mu = found
-    return ErrorValue(WCE, BASELINE, wce, manager.var_count, eps.width - 1, mu)
+    manager, stop = _preamble(eps, limit, WCE)
+    found = _search_max(manager, _absolute(eps).bits, manager.true, stop=stop)
+    return _wce_result(eps, BASELINE, found)
 
 
 def mae_baseline(eps: BddWord, *, limit=None) -> ErrorValue | None:
     """Mean absolute error as the weighted bit probabilities of |eps|."""
-    _require_difference_word(eps)
-    manager = eps.manager
-    stop = _scaled_limit(limit, 1 << manager.var_count)
-    sign = eps.sign_bit
-    magnitude = add(_masked_magnitude(eps), BddWord((sign,), signed=False))
-    total = _weighted_count(manager.sat_count, magnitude.bits, 0, stop)
-    if total is None:
-        return None
-    value = Fraction(total, 1 << manager.var_count)
-    return ErrorValue(MAE, BASELINE, value, manager.var_count, eps.width - 1)
+    manager, stop = _preamble(eps, limit, MAE)
+    total = _weighted_count(manager.sat_count, _absolute(eps).bits, 0, stop)
+    return _mae_result(eps, BASELINE, total)
 
 
 def wce_ones(eps: BddWord, *, limit=None) -> ErrorValue | None:
@@ -210,22 +228,18 @@ def wce_ones(eps: BddWord, *, limit=None) -> ErrorValue | None:
     higher and the witness narrows to those points.  Under a limit the
     scan stops on its own value, and the +1 is checked at the end.
     """
-    stop = _scaled_limit(limit)
-    _require_difference_word(eps)
-    manager = eps.manager
-    sign = eps.sign_bit
-    magnitude = _masked_magnitude(eps)
-    found = _search_max(manager, magnitude.bits, manager.true, stop=stop)
+    manager, stop = _preamble(eps, limit, WCE)
+    found = _search_max(manager, _masked_magnitude(eps).bits, manager.true, stop=stop)
     if found is None:
         return None
     wce, mu = found
-    negative = manager.apply("and", mu, sign)
+    negative = manager.apply("and", mu, eps.sign_bit)
     if manager.is_sat(negative):
         wce += 1
         mu = negative
     if stop is not None and wce > stop:
         return None
-    return ErrorValue(WCE, ONES, wce, manager.var_count, eps.width - 1, mu)
+    return _wce_result(eps, ONES, (wce, mu))
 
 
 def mae_ones(eps: BddWord, *, limit=None) -> ErrorValue | None:
@@ -234,19 +248,14 @@ def mae_ones(eps: BddWord, *, limit=None) -> ErrorValue | None:
     Every negative point's masked magnitude is short by exactly one, so
     adding the satisfying fraction of the sign bit restores the mean.
     """
-    _require_difference_word(eps)
-    manager = eps.manager
-    stop = _scaled_limit(limit, 1 << manager.var_count)
+    manager, stop = _preamble(eps, limit, MAE)
     total = _weighted_count(
         manager.sat_count,
         _masked_magnitude(eps).bits,
         manager.sat_count(eps.sign_bit),
         stop,
     )
-    if total is None:
-        return None
-    value = Fraction(total, 1 << manager.var_count)
-    return ErrorValue(MAE, ONES, value, manager.var_count, eps.width - 1)
+    return _mae_result(eps, ONES, total)
 
 
 def wce_noabs(eps: BddWord, *, limit=None) -> ErrorValue | None:
@@ -260,9 +269,7 @@ def wce_noabs(eps: BddWord, *, limit=None) -> ErrorValue | None:
     negative branch stops one lower, for its +1, and is not run at all
     once the non-negative branch is over.
     """
-    stop = _scaled_limit(limit)
-    _require_difference_word(eps)
-    manager = eps.manager
+    manager, stop = _preamble(eps, limit, WCE)
     sign = eps.sign_bit
     not_sign = manager.not_(sign)
     magnitude_bits = eps.bits[:-1]
@@ -278,13 +285,9 @@ def wce_noabs(eps: BddWord, *, limit=None) -> ErrorValue | None:
             return None
         wce_n, mu_n = found
         negative = (wce_n + 1, mu_n)
-    if negative is None:
-        wce, mu = positive
-    elif positive is None or negative[0] > positive[0]:
-        wce, mu = negative
-    else:
-        wce, mu = positive
-    return ErrorValue(WCE, NOABS, wce, manager.var_count, eps.width - 1, mu)
+    if negative is None or (positive is not None and negative[0] <= positive[0]):
+        return _wce_result(eps, NOABS, positive)
+    return _wce_result(eps, NOABS, negative)
 
 
 def mae_noabs(eps: BddWord, *, limit=None) -> ErrorValue | None:
@@ -296,9 +299,7 @@ def mae_noabs(eps: BddWord, *, limit=None) -> ErrorValue | None:
     ``s`` adds exactly ``|b & ~s| + |s & ~b| = |b| + |s| - 2|b & s|``:
     one pairwise count per bit, and no BDD is built at all.
     """
-    _require_difference_word(eps)
-    manager = eps.manager
-    stop = _scaled_limit(limit, 1 << manager.var_count)
+    manager, stop = _preamble(eps, limit, MAE)
     sign = eps.sign_bit
     negatives = manager.sat_count(sign)
 
@@ -306,10 +307,7 @@ def mae_noabs(eps: BddWord, *, limit=None) -> ErrorValue | None:
         return manager.sat_count(bit) + negatives - 2 * manager.sat_count_and(bit, sign)
 
     total = _weighted_count(count, eps.bits[:-1], negatives, stop)
-    if total is None:
-        return None
-    value = Fraction(total, 1 << manager.var_count)
-    return ErrorValue(MAE, NOABS, value, manager.var_count, eps.width - 1)
+    return _mae_result(eps, NOABS, total)
 
 
 def error_rate(f_word: BddWord, fp_word: BddWord) -> ErrorValue:
@@ -333,8 +331,22 @@ def error_rate(f_word: BddWord, fp_word: BddWord) -> ErrorValue:
     )
 
 
-_WCE_ALGORITHMS = {BASELINE: wce_baseline, ONES: wce_ones, NOABS: wce_noabs}
-_MAE_ALGORITHMS = {BASELINE: mae_baseline, ONES: mae_ones, NOABS: mae_noabs}
+_FAMILIES = {
+    (WCE, BASELINE): wce_baseline, (WCE, ONES): wce_ones, (WCE, NOABS): wce_noabs,
+    (MAE, BASELINE): mae_baseline, (MAE, ONES): mae_ones, (MAE, NOABS): mae_noabs,
+}
+
+
+def _family(metric: str, algorithm: str):
+    """The WCE or MAE family of one metric/algorithm pair, or ``ValueError``."""
+    if metric == ERROR_RATE:
+        raise ValueError("error rate has no families; use error_rate(f_word, fp_word)")
+    if metric not in (WCE, MAE):
+        raise ValueError(f"unknown metric {metric!r}")
+    try:
+        return _FAMILIES[metric, algorithm]
+    except KeyError:
+        raise ValueError(f"unknown algorithm {algorithm!r}") from None
 
 
 def compute(
@@ -344,15 +356,7 @@ def compute(
 
     ``None`` means the error is above ``limit`` (see the module notes).
     """
-    try:
-        table = {WCE: _WCE_ALGORITHMS, MAE: _MAE_ALGORITHMS}[metric]
-    except KeyError:
-        raise ValueError(f"unknown metric {metric!r}") from None
-    try:
-        fn = table[algorithm]
-    except KeyError:
-        raise ValueError(f"unknown algorithm {algorithm!r}") from None
-    return fn(eps, limit=limit)
+    return _family(metric, algorithm)(eps, limit=limit)
 
 
 def evaluate_error(
@@ -368,22 +372,24 @@ def evaluate_error(
     manager across many candidates shares the node store and caches).
     The result's ``phases`` holds each phase's wall time and the nodes
     it added to the store; error rate has no subtracting phase, so its
-    ``sub_ns`` and ``sub_nodes`` are 0.
+    ``sub_ns`` and ``sub_nodes`` are 0, and it ignores ``algorithm``.  An
+    unknown metric or algorithm raises before anything is compiled.
     """
     check_interface(golden, approx)
+    family = None if metric == ERROR_RATE else _family(metric, algorithm)
     if manager is None:
         manager = BddManager(golden.input_count)
     n0, t0 = manager.nodes_created(), time.perf_counter_ns()
     f_word = compile_circuit(manager, golden)
     fp_word = compile_circuit(manager, approx)
     n1, t1 = manager.nodes_created(), time.perf_counter_ns()
-    if metric == ERROR_RATE:
+    if family is None:
         n2, t2 = n1, t1
         result = error_rate(f_word, fp_word)
     else:
         eps = subtract(f_word, fp_word)
         n2, t2 = manager.nodes_created(), time.perf_counter_ns()
-        result = compute(eps, metric, algorithm)
+        result = family(eps)
     t3, n3 = time.perf_counter_ns(), manager.nodes_created()
     phases = Phases(t1 - t0, t2 - t1, t3 - t2, n1 - n0, n2 - n1, n3 - n2)
     return replace(result, phases=phases)

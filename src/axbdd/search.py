@@ -26,23 +26,17 @@ import random
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from numbers import Real
 
 from . import metrics
 from .adders import mutate
 from .bdd import BddManager
 from .bitvec import compile_circuit, subtract
-from .circuit import Circuit
+from .circuit import Circuit, check_interface
 
 # Internal nodes past which the next candidate is scored on a fresh
 # manager.  Smaller limits rebuild often enough that the cold caches
 # show in the per-evaluation time; larger ones only cost memory.
 NODE_LIMIT = 100_000
-
-
-def _finite_non_negative(x) -> bool:
-    """Whether ``x`` is a real number in [0, inf); a ``bool`` is not one."""
-    return not isinstance(x, bool) and isinstance(x, Real) and 0 <= x < math.inf
 
 
 @dataclass
@@ -69,7 +63,7 @@ class SearchConfig:
             raise ValueError(f"search metric must be wce or mae, got {self.metric!r}")
         if self.algorithm not in metrics.ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if not _finite_non_negative(self.threshold):
+        if not metrics._finite_non_negative(self.threshold):
             raise ValueError("threshold must be a finite number >= 0")
         if type(self.offspring) is not int or self.offspring < 1:
             raise ValueError("offspring must be an integer >= 1")
@@ -80,7 +74,7 @@ class SearchConfig:
         gens, secs = self.max_generations, self.max_seconds
         if gens is not None and (type(gens) is not int or gens < 0):
             raise ValueError("max_generations must be None or an integer >= 0")
-        if secs is not None and not _finite_non_negative(secs):
+        if secs is not None and not metrics._finite_non_negative(secs):
             raise ValueError("max_seconds must be None or a finite number >= 0")
 
 
@@ -117,7 +111,8 @@ def run_search(
     must be exact for the threshold to mean anything.  The returned
     circuit always satisfies the bound and is never larger than the
     first parent.  ``start_from`` resumes from an earlier result while
-    keeping the original seed as the golden reference.  Deterministic
+    keeping the original seed as the golden reference; it must share the
+    seed's interface (else ``InterfaceMismatchError``).  Deterministic
     for a given config seed (timings aside).
 
     Memory stays bounded however long the search runs: once the shared
@@ -151,6 +146,7 @@ def run_search(
         return result.value
 
     if start_from is not None:
+        check_interface(seed_circuit, start_from)
         parent_error = score(parent)
         if parent_error is None:
             raise ValueError("start_from circuit violates the threshold")

@@ -103,7 +103,7 @@ def test_per_record_failure_is_captured(monkeypatch):
     def flaky(eps, *, limit=None):
         raise RuntimeError("synthetic fault")
 
-    monkeypatch.setitem(metrics_mod._WCE_ALGORITHMS, "ones", flaky)
+    monkeypatch.setitem(metrics_mod._FAMILIES, ("wce", "ones"), flaky)
     records = run_corpus(small_spec(metrics=["wce"], mutants=2))
     failed = [r for r in records if r.error is not None]
     healthy = [r for r in records if r.error is None]

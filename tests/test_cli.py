@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -248,11 +249,35 @@ def test_verify_detects_corruption(pair, capsys, monkeypatch):
             real.kind, "ones", real.value + 1, real.input_count, real.output_count
         )
 
-    monkeypatch.setitem(metrics_mod._WCE_ALGORITHMS, "ones", wrong)
+    monkeypatch.setitem(metrics_mod._FAMILIES, ("wce", "ones"), wrong)
     golden, approx = pair
     code = run_cli(["verify", "--golden", str(golden), "--approx", str(approx)])
     assert code == 5
     assert "MISMATCH" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("oracle_bits", ["24", "1"])  # the oracle, then the baseline
+def test_verify_checks_each_wce_witness(pair, capsys, monkeypatch, oracle_bits):
+    import axbdd.metrics as metrics_mod
+    from axbdd import int_value, simulate
+
+    golden, approx = (parse_file(path) for path in pair)
+    wce = oracle_metrics(golden, approx)[0]
+    zero = [0] * golden.input_count  # what pick_assignment(manager.true) gives
+    gap = abs(int_value(simulate(golden, zero)) - int_value(simulate(approx, zero)))
+    assert gap != wce
+
+    def blind(eps, *, limit=None):
+        real = metrics_mod.wce_ones(eps)
+        return dataclasses.replace(real, witness=eps.manager.true)
+
+    monkeypatch.setitem(metrics_mod._FAMILIES, ("wce", "ones"), blind)
+    code = run_cli(["verify", "--golden", str(pair[0]), "--approx", str(pair[1]),
+                    "--max-oracle-bits", oracle_bits])
+    assert code == 5
+    lines = [line for line in capsys.readouterr().out.splitlines() if "MISMATCH" in line]
+    assert len(lines) == 1
+    assert lines[0].startswith(f"wce ones      = {wce}") and f"attains {gap}" in lines[0]
 
 
 def test_search_tau_zero_keeps_function(tmp_path, capsys):

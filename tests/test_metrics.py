@@ -264,6 +264,20 @@ def test_dispatch_and_validation(identity2, truncated2):
         compute(eps, "epsilon", "noabs")
     with pytest.raises(ValueError):
         compute(eps, "wce", "fastest")
+    with pytest.raises(ValueError, match="error_rate"):
+        compute(eps, "ep")
+    # evaluate_error rejects an unknown pair before it compiles anything.
+    for metric, algorithm, message in (
+        ("epsilon", "noabs", "unknown metric"),
+        ("wce", "fastest", "unknown algorithm"),
+    ):
+        manager = BddManager(identity2.input_count)
+        with pytest.raises(ValueError, match=message):
+            evaluate_error(identity2, truncated2, metric, algorithm, manager)
+        assert manager.nodes_created() == 0
+    # Error rate has one algorithm and ignores the name it is given.
+    rate = evaluate_error(identity2, truncated2, metrics.ERROR_RATE, "fastest")
+    assert rate.value == Fraction(1, 2)
 
 
 def test_evaluate_error_convenience(identity2, truncated2):

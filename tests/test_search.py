@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from axbdd import InterfaceMismatchError
 from axbdd import SearchConfig, gen_adder, oracle_metrics, range_threshold, run_search
 from axbdd import search
 from axbdd.search import write_history
@@ -94,6 +95,17 @@ def test_resume_rejects_threshold_violator(truncated2, identity2):
     cfg = SearchConfig(metric="wce", threshold=0, max_generations=5, seed=0)
     with pytest.raises(ValueError):
         run_search(identity2, cfg, start_from=truncated2)
+
+
+def test_resume_rejects_a_different_interface():
+    seed = gen_adder("rca", 4, False)
+    cfg = SearchConfig(metric="wce", threshold=31, max_generations=2, seed=0)
+    for other in (
+        dataclasses.replace(seed, outputs=seed.outputs[:-1]),
+        dataclasses.replace(seed, signed=True),
+    ):
+        with pytest.raises(InterfaceMismatchError):
+            run_search(seed, cfg, start_from=other)
 
 
 def test_config_validation():
