@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: ``gen`` (seed adders), ``eval`` (one metric on a circuit
-pair), ``verify`` (all algorithms plus the enumeration oracle must
-agree, and every WCE witness must attain its value), ``bench`` (corpus
-timing), ``search`` (threshold-constrained approximation).
+pair), ``verify`` (every WCE/MAE algorithm and the error rate must
+agree with the enumeration oracle, and every WCE and error-rate witness
+must show its value), ``bench`` (corpus timing), ``search``
+(threshold-constrained approximation).
 
 Exit codes: 0 ok, 2 usage or bad input (a malformed netlist, or BDDs too
 deep for Python's recursion limit), 3 interface mismatch, 4 oracle
@@ -77,7 +78,7 @@ def cmd_eval(args) -> int:
     if args.relative and args.metric == metrics.ERROR_RATE:
         raise SystemExit("error rate is already relative; drop --relative")
     if args.algo == "oracle":
-        if n >= 20:
+        if n >= 28:
             print(
                 f"warning: enumerating 2^{n} inputs; this may take a while",
                 file=sys.stderr,
@@ -100,47 +101,59 @@ def cmd_eval(args) -> int:
 
 
 def _witness_problem(golden, approx, manager, result) -> str | None:
-    """Why a WCE result's witness does not attain its value, or ``None``."""
+    """Why a result's witness does not show its value, or ``None``.
+
+    A WCE witness must attain the WCE; an error-rate witness must make
+    the outputs differ, and only a rate of 0 has none.  MAE has no witness.
+    """
+    if result.kind == metrics.MAE:
+        return None
     if result.witness is None:
-        return "no witness"
+        zero_rate = result.kind == metrics.ERROR_RATE and result.value == 0
+        return None if zero_rate else "no witness"
     point = manager.pick_assignment(result.witness)
     gap = abs(int_value(simulate(golden, point)) - int_value(simulate(approx, point)))
-    return None if gap == result.value else f"its witness attains {gap}"
+    if result.kind == metrics.WCE:
+        return None if gap == result.value else f"its witness attains {gap}"
+    if result.value == 0:
+        return "a rate of 0 has a witness"
+    return None if gap else "its witness gives equal outputs"
 
 
 def cmd_verify(args) -> int:
     golden, approx = _load_pair(args)
     # One shared manager: after the first call, compile and subtract hit the cache.
     manager = BddManager(golden.input_count)
-    results = {}
-    for metric in (metrics.WCE, metrics.MAE):
-        for algo in metrics.ALGORITHMS:
-            results[(metric, algo)] = metrics.evaluate_error(
-                golden, approx, metric, algo, manager
-            )
+    results = {
+        metric: [
+            metrics.evaluate_error(golden, approx, metric, algo, manager)
+            for algo in metrics.ALGORITHMS
+        ]
+        for metric in (metrics.WCE, metrics.MAE)
+    }
+    results[metrics.ERROR_RATE] = [
+        metrics.evaluate_error(golden, approx, metrics.ERROR_RATE, manager=manager)
+    ]
     try:
-        wce, mae, _ = oracle_metrics(golden, approx, limit=args.max_oracle_bits)
-        oracle = {metrics.WCE: wce, metrics.MAE: mae}
+        triple = oracle_metrics(golden, approx, limit=args.max_oracle_bits)
+        oracle = dict(zip(metrics.METRICS, triple))
     except OracleLimitError:
         oracle = None
 
     failures = 0
-    for metric in (metrics.WCE, metrics.MAE):
-        baseline = results[(metric, metrics.BASELINE)].value
-        expected = oracle[metric] if oracle else baseline
-        source = "oracle" if oracle else metrics.BASELINE
-        for algo in metrics.ALGORITHMS:
-            result = results[(metric, algo)]
+    for metric, found in results.items():
+        expected = oracle[metric] if oracle else found[0].value
+        source = "oracle" if oracle else found[0].algorithm
+        for result in found:
             problems = []
             if result.value != expected:
                 problems.append(f"expected {expected} from {source}")
-            # The values alone pass a fault every family shares, so each WCE
+            # The values alone pass a fault every family shares, so each
             # witness is also checked by simulating both circuits there.
-            if metric == metrics.WCE:
-                problems.append(_witness_problem(golden, approx, manager, result))
+            problems.append(_witness_problem(golden, approx, manager, result))
             problems = [p for p in problems if p]
             print(
-                f"{metric} {algo:<9} = {result.value}"
+                f"{metric} {result.algorithm:<9} = {result.value}"
                 + (f"  MISMATCH ({'; '.join(problems)})" if problems else "")
             )
             failures += bool(problems)

@@ -16,8 +16,8 @@ def brute_force_metrics(f, fp):
 
     Deliberately naive: a scalar loop over every assignment with its own
     sum and maximum.  It shares the gate evaluators of ``circuit.GATES``
-    with the vectorized oracle, but not the oracle's enumeration, chunking
-    or accumulation, and nothing of the BDD algorithms.
+    with the bit-sliced oracle, but not the oracle's planes, chunking or
+    plane arithmetic, and nothing of the BDD algorithms.
     """
     wce = 0
     abs_sum = 0

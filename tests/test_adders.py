@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from axbdd import Circuit, emit, gen_adder, int_value, mutate, simulate
-from axbdd.circuit import _batch_values
+from axbdd.circuit import _output_planes
 
 from conftest import adder_value_pair, all_assignments
 
@@ -26,21 +26,26 @@ def test_adders_exact_exhaustively(kind, signed, bits):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("signed", [False, True])
 def test_wide_adders_exact_on_random_sample(kind, signed):
-    # widths past exhaustive reach get a large random sample
+    # widths past exhaustive reach get a large random sample: 1,000,000
+    # assignments, 64 to a uint64 word, through the oracle's plane helper
     bits = 16
     c = gen_adder(kind, bits, signed)
     rng = np.random.default_rng(123)
-    idx = rng.integers(0, 1 << (2 * bits), size=1_000_000, dtype=np.uint64)
-    values = _batch_values(c, idx)
-    a = np.zeros(idx.shape, dtype=np.int64)
-    b = np.zeros(idx.shape, dtype=np.int64)
-    for i in range(bits):
-        weight = 1 << i
-        if signed and i == bits - 1:
-            weight = -weight
-        a += ((idx >> np.uint64(2 * i)) & np.uint64(1)).astype(np.int64) * weight
-        b += ((idx >> np.uint64(2 * i + 1)) & np.uint64(1)).astype(np.int64) * weight
-    assert np.array_equal(values, a + b)
+    words = rng.integers(0, 1 << 64, size=(2 * bits, 1_000_000 // 64), dtype=np.uint64)
+
+    def value(planes):
+        """Each lane's integer value, lane k of word w at index 64 w + k."""
+        total = np.zeros(1_000_000, dtype=np.int64)
+        for i, plane in enumerate(planes):
+            weight = 1 << i
+            if signed and i == len(planes) - 1:
+                weight = -weight
+            lanes = np.unpackbits(plane.astype("<u8").view(np.uint8), bitorder="little")
+            total += lanes.astype(np.int64) * weight
+        return total
+
+    sums = value(_output_planes(c, list(words)))
+    assert np.array_equal(sums, value(words[0::2]) + value(words[1::2]))
 
 
 def test_interleaved_input_order():

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from axbdd import (
@@ -24,9 +23,16 @@ from axbdd import (
     parse,
     simulate,
 )
-from axbdd.circuit import _batch_values
+import axbdd.circuit as circuit_mod
+from axbdd.circuit import _input_planes, _output_planes
 
-from conftest import HALF_ADDER_TEXT, adder_value_pair, all_assignments, brute_force_metrics
+from conftest import (
+    HALF_ADDER_TEXT,
+    adder_value_pair,
+    all_assignments,
+    brute_force_metrics,
+    random_netlist,
+)
 
 
 def test_parse_half_adder():
@@ -52,16 +58,19 @@ def test_simulate_half_adder():
 
 
 def check_rows(c, table):
-    """Each row's output by simulate, by the oracle's vectorized pass over
-    every assignment index, and by the compiled BDD."""
-    batch = _batch_values(c, np.arange(1 << c.input_count, dtype=np.uint64))
-    m = BddManager(c.input_count)
+    """Each row's output by simulate on 0/1 ints, by the oracle's plane
+    helper on one full uint64 word (lane k is row k mod 2^n, so all 64
+    lanes are checked), and by the compiled BDD."""
+    n = c.input_count
+    (plane,) = _output_planes(c, _input_planes(n, 0, 1))
+    m = BddManager(n)
     (bit,) = compile_circuit(m, c).bits
     for bits, expected in table.items():
-        use = bits[: c.input_count]
-        assert simulate(c, use).bits == (expected,), use
-        assert batch[bits_to_int(use, False)] == expected, use
-        assert m.evaluate(bit, use) == expected, use
+        assert simulate(c, bits).bits == (expected,), bits
+        assert m.evaluate(bit, bits) == expected, bits
+    for k in range(64):
+        row = tuple(k >> i & 1 for i in range(n))
+        assert int(plane[0]) >> k & 1 == table[row], (k, row)
 
 
 @pytest.mark.parametrize(
@@ -324,7 +333,7 @@ def test_oracle_signed_circuits():
 
 
 def test_oracle_sums_wide_outputs_exactly():
-    # 50-bit differences over 2^18-row chunks sum past int64.
+    # 2^20 50-bit differences sum past int64.
     inputs = tuple(f"i{k}" for k in range(20))
     outputs = tuple(f"o{k}" for k in range(50))
     ones, zeros = (
@@ -344,20 +353,50 @@ def test_oracle_limit():
         oracle_metrics(c, c, limit=25)
 
 
-def test_oracle_output_width_limit():
+def test_oracle_any_output_width():
+    # No int64 value is formed, so words past 62 bits are exact too.
     inputs = ("a",)
-    for width, fits in ((62, True), (63, False)):
+    for width in (63, 64, 100):
         outputs = tuple(f"o{k}" for k in range(width))
         ones, zeros = (
             Circuit(op, inputs, outputs, tuple(Gate(op, (), o) for o in outputs))
             for op in ("CONST1", "CONST0")
         )
-        if fits:
-            top = (1 << width) - 1
-            assert oracle_metrics(ones, zeros) == (top, Fraction(top), Fraction(1))
-        else:
-            with pytest.raises(OracleLimitError, match="63 outputs"):
-                oracle_metrics(ones, zeros)
+        top = (1 << width) - 1
+        assert oracle_metrics(ones, zeros) == (top, Fraction(top), Fraction(1))
+        assert evaluate_error(ones, zeros, "mae").value == top
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_oracle_lanes_and_words_match_brute_force(n):
+    # n < 6 fills part of one word, n = 6 exactly one, n > 6 several.
+    rng = random.Random(f"oracle-planes:{n}")
+    inputs = tuple(f"x{i}" for i in range(n))
+    for case in range(16):
+        signed = case % 2 == 1
+        golden = random_netlist(rng, "golden", inputs, rng.randint(1, 5), signed)
+        approx = random_netlist(rng, "approx", inputs, golden.output_count, signed)
+        wce, abs_sum, diff = brute_force_metrics(golden, approx)
+        assert oracle_metrics(golden, approx) == (
+            wce,
+            Fraction(abs_sum, 1 << n),
+            Fraction(diff, 1 << n),
+        ), case
+
+
+@pytest.mark.parametrize("words", [1, 3])
+def test_oracle_chunks_give_the_same_triple(monkeypatch, words):
+    rng = random.Random(47)
+    pairs = []
+    for signed in (False, True):
+        golden = gen_adder("cla", 5, signed)  # 10 inputs: 16 words
+        pairs.append((golden, mutate(golden, rng.getrandbits(64), 3)))
+        inputs = tuple(f"x{i}" for i in range(9))  # 8 words
+        golden = random_netlist(rng, "golden", inputs, 4, signed)
+        pairs.append((golden, random_netlist(rng, "approx", inputs, 4, signed)))
+    whole = [oracle_metrics(g, a) for g, a in pairs]
+    monkeypatch.setattr(circuit_mod, "_ORACLE_WORDS", words)
+    assert [oracle_metrics(g, a) for g, a in pairs] == whole
 
 
 def test_interface_checks(identity2):

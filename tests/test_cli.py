@@ -147,29 +147,27 @@ def wide_pair(tmp_path, width=70):
     return ["--golden", str(gfile), "--approx", str(afile)]
 
 
-def test_wide_outputs_hit_the_oracle_limit(tmp_path, capsys):
+def test_wide_outputs_reach_the_oracle(tmp_path, capsys):
     pair = wide_pair(tmp_path)
-    assert run_cli(["eval", *pair, "--algo", "oracle"]) == 4
-    assert "70 outputs" in capsys.readouterr().err
-    assert run_cli(["eval", *pair, "--algo", "noabs"]) == 0
-    assert capsys.readouterr().out.strip() == str((1 << 70) - 1)
-    # verify falls back to the baseline reference, as past the input limit.
+    top = str((1 << 70) - 1)
+    for algo in ("oracle", "noabs"):
+        assert run_cli(["eval", *pair, "--algo", algo]) == 0
+        assert capsys.readouterr().out.strip() == top
     assert run_cli(["verify", *pair]) == 0
-    out = capsys.readouterr().out
-    assert "all algorithms agree" in out and "oracle" not in out
+    assert "all algorithms agree with the oracle" in capsys.readouterr().out
 
 
 def test_eval_oracle_at_the_limit_warns_but_computes(tmp_path, capsys):
     from axbdd import mutate
 
-    golden = gen_adder("rca", 12, False)  # 24 inputs: at the default limit
+    golden = gen_adder("rca", 14, False)  # 28 inputs: where the warning starts
     approx = mutate(golden, 5, 2)
     gfile, afile = tmp_path / "g.net", tmp_path / "a.net"
     gfile.write_text(emit(golden))
     afile.write_text(emit(approx))
     code = run_cli(
         ["eval", "--golden", str(gfile), "--approx", str(afile),
-         "--metric", "wce", "--algo", "oracle"]
+         "--metric", "wce", "--algo", "oracle", "--max-oracle-bits", "28"]
     )
     captured = capsys.readouterr()
     assert code == 0
@@ -278,6 +276,41 @@ def test_verify_checks_each_wce_witness(pair, capsys, monkeypatch, oracle_bits):
     lines = [line for line in capsys.readouterr().out.splitlines() if "MISMATCH" in line]
     assert len(lines) == 1
     assert lines[0].startswith(f"wce ones      = {wce}") and f"attains {gap}" in lines[0]
+
+
+def test_verify_checks_the_error_rate(pair, capsys, monkeypatch):
+    import axbdd.metrics as metrics_mod
+
+    real = metrics_mod.error_rate
+
+    def halved(f_word, fp_word):
+        result = real(f_word, fp_word)
+        return dataclasses.replace(result, value=result.value / 2)
+
+    monkeypatch.setattr(metrics_mod, "error_rate", halved)
+    code = run_cli(["verify", "--golden", str(pair[0]), "--approx", str(pair[1])])
+    assert code == 5
+    lines = [line for line in capsys.readouterr().out.splitlines() if "MISMATCH" in line]
+    assert len(lines) == 1
+    assert lines[0].startswith("ep direct    = 1/4") and "expected 1/2 from oracle" in lines[0]
+
+
+@pytest.mark.parametrize("oracle_bits", ["24", "1"])  # the oracle, then the direct value
+def test_verify_checks_the_error_rate_witness(pair, capsys, monkeypatch, oracle_bits):
+    import axbdd.metrics as metrics_mod
+
+    real = metrics_mod.error_rate
+
+    def blind(f_word, fp_word):
+        # all-zero inputs, where the pair's outputs are equal
+        return dataclasses.replace(real(f_word, fp_word), witness=f_word.manager.true)
+
+    monkeypatch.setattr(metrics_mod, "error_rate", blind)
+    code = run_cli(["verify", "--golden", str(pair[0]), "--approx", str(pair[1]),
+                    "--max-oracle-bits", oracle_bits])
+    assert code == 5
+    lines = [line for line in capsys.readouterr().out.splitlines() if "MISMATCH" in line]
+    assert len(lines) == 1 and "its witness gives equal outputs" in lines[0]
 
 
 def test_search_tau_zero_keeps_function(tmp_path, capsys):
