@@ -177,30 +177,25 @@ def mutate(circuit: Circuit, seed: int, edits: int) -> Circuit:
         g = gates[idx]
         earlier = list(circuit.inputs) + [h.out for h in gates[:idx]]
         move = rng.choice(("op", "rewire", "const"))
-        if move == "op":
+        if move == "const":
+            gates[idx] = Gate(rng.choice(_CONST_OPS), (), g.out)
+        elif not g.inputs:
+            # A constant has no operation to flip and no input to rewire;
+            # grow it back into a unary gate over some earlier wire.
+            gates[idx] = Gate(
+                rng.choice(_ONE_INPUT_OPS), (rng.choice(earlier),), g.out
+            )
+        elif move == "op":
             if len(g.inputs) == 2:
                 new_op = rng.choice([op for op in _TWO_INPUT_OPS if op != g.op])
                 gates[idx] = Gate(new_op, g.inputs, g.out)
-            elif len(g.inputs) == 1:
+            else:
                 gates[idx] = Gate("NOT" if g.op == "BUF" else "BUF", g.inputs, g.out)
-            else:
-                # Constants have no operation to flip; grow them back into
-                # a unary gate over some earlier wire.
-                gates[idx] = Gate(
-                    rng.choice(_ONE_INPUT_OPS), (rng.choice(earlier),), g.out
-                )
-        elif move == "rewire":
-            if g.inputs:
-                pos = rng.randrange(len(g.inputs))
-                wired = list(g.inputs)
-                wired[pos] = rng.choice(earlier)
-                gates[idx] = Gate(g.op, tuple(wired), g.out)
-            else:
-                gates[idx] = Gate(
-                    rng.choice(_ONE_INPUT_OPS), (rng.choice(earlier),), g.out
-                )
         else:
-            gates[idx] = Gate(rng.choice(_CONST_OPS), (), g.out)
+            pos = rng.randrange(len(g.inputs))
+            wired = list(g.inputs)
+            wired[pos] = rng.choice(earlier)
+            gates[idx] = Gate(g.op, tuple(wired), g.out)
     return Circuit(
         name=circuit.name,
         inputs=circuit.inputs,

@@ -387,7 +387,8 @@ def oracle_metrics(
     assignments per word, run through :data:`GATES` in chunks of
     ``_ORACLE_WORDS`` words.  The difference, its magnitude, the maximum
     and the sums are bitwise arithmetic on the planes, totalled as
-    per-plane popcounts in Python ints, so any output width is exact.
+    per-plane popcounts over every lane in Python ints, so any output
+    width is exact.
     Refuses input counts above ``limit``: enumeration time doubles per
     extra input.
     """
@@ -398,8 +399,6 @@ def oracle_metrics(
             f"{n} inputs exceed the oracle limit of {limit}"
         )
     words = max(1, (1 << n) >> 6)
-    # Below 6 inputs one word holds every row 2^(6 - n) times; count it once.
-    valid = np.uint64((1 << (1 << n)) - 1) if n < 6 else None
     wce = abs_sum = diff_count = 0
     for start in range(0, words, _ORACLE_WORDS):
         planes = _input_planes(n, start, min(_ORACLE_WORDS, words - start))
@@ -408,11 +407,10 @@ def oracle_metrics(
         for a, b in zip(out_f[1:], out_fp[1:]):
             diff |= a ^ b
         mag = _magnitude(out_f, out_fp, f.signed)
-        if valid is not None:
-            diff &= valid
-            mag = [p & valid for p in mag]
         diff_count += _popcount(diff)
         abs_sum += sum(_popcount(p) << i for i, p in enumerate(mag))
         wce = max(wce, _largest(mag))
-    total = 1 << n
+    # Below 6 inputs the one word holds each of the 2^n rows 2^(6 - n)
+    # times, which scales both sums alike and leaves the maximum alone.
+    total = words << 6
     return wce, Fraction(abs_sum, total), Fraction(diff_count, total)

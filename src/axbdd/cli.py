@@ -76,17 +76,15 @@ def cmd_eval(args) -> int:
     golden, approx = _load_pair(args)
     n = golden.input_count
     if args.relative and args.metric == metrics.ERROR_RATE:
-        raise SystemExit("error rate is already relative; drop --relative")
+        raise ValueError("error rate is already relative; drop --relative")
     if args.algo == "oracle":
         if n >= 28:
             print(
                 f"warning: enumerating 2^{n} inputs; this may take a while",
                 file=sys.stderr,
             )
-        wce, mae, rate = oracle_metrics(golden, approx, limit=args.max_oracle_bits)
-        value = {metrics.WCE: wce, metrics.MAE: mae, metrics.ERROR_RATE: rate}[
-            args.metric
-        ]
+        triple = oracle_metrics(golden, approx, limit=args.max_oracle_bits)
+        value = dict(zip(metrics.METRICS, triple))[args.metric]
         result = metrics.ErrorValue(
             args.metric, "oracle", value, n, golden.output_count
         )
@@ -189,11 +187,9 @@ def cmd_search(args) -> int:
         tau = range_threshold(seed_circuit, args.tau_range)
         if args.metric == metrics.MAE:
             tau = args.tau_range * ((1 << seed_circuit.output_count) - 1)
-    if tau < 0:
-        raise SystemExit("threshold must be non-negative")
     if args.metric == metrics.WCE:
         if tau.denominator != 1:
-            raise SystemExit("wce threshold must be an integer")
+            raise ValueError("wce threshold must be an integer")
         tau = int(tau)
     cfg = SearchConfig(
         metric=args.metric,
@@ -337,11 +333,6 @@ def main(argv=None) -> int:
     except (NetlistError, BddError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(f"error: {exc.code}", file=sys.stderr)
-            return EXIT_USAGE
-        raise
 
 
 if __name__ == "__main__":

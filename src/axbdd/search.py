@@ -130,7 +130,7 @@ def run_search(
     start = time.perf_counter_ns()
 
     parent = start_from if start_from is not None else seed_circuit
-    parent_fitness: float | int = parent.active_gate_count()
+    parent_fitness = parent.active_gate_count()
     zero = 0 if cfg.metric == metrics.WCE else Fraction(0)
     parent_error = zero
 
@@ -150,18 +150,18 @@ def run_search(
         parent_error = score(parent)
         if parent_error is None:
             raise ValueError("start_from circuit violates the threshold")
-    evals = 0
-    history = [
-        GenerationRecord(
-            0,
+    evals = generation = 0
+
+    def record(elapsed_ns: int) -> GenerationRecord:
+        return GenerationRecord(
+            generation,
             parent_fitness,
             *metrics.exact_fields(parent_error, seed_circuit.input_count),
             evals,
-            0,
+            elapsed_ns,
         )
-    ]
 
-    generation = 0
+    history = [record(0)]
     while True:
         if cfg.max_generations is not None and generation >= cfg.max_generations:
             break
@@ -184,19 +184,12 @@ def run_search(
                 best_child = child
                 best_child_fitness = fitness
                 best_child_error = error
-        if best_child is not None and best_child_fitness <= parent_fitness:
+        # A child over the threshold has infinite fitness and is never kept.
+        if best_child_fitness <= parent_fitness:
             parent = best_child
             parent_fitness = best_child_fitness
             parent_error = best_child_error
-        history.append(
-            GenerationRecord(
-                generation,
-                int(parent_fitness),
-                *metrics.exact_fields(parent_error, seed_circuit.input_count),
-                evals,
-                time.perf_counter_ns() - start,
-            )
-        )
+        history.append(record(time.perf_counter_ns() - start))
     return parent, history
 
 

@@ -171,6 +171,30 @@ def test_summarize_synthetic_equal_timings():
     assert median_loading_share(records) == pytest.approx(0.1)
 
 
+def test_summary_skips_failed_records_and_marks_a_missing_baseline():
+    def record(metric, algorithm, **fields):
+        return BenchRecord(
+            circuit_id="c0", width=8, signed=False, metric=metric,
+            algorithm=algorithm, **fields,
+        )
+
+    timed = dict(load_ns=100, sub_ns=400, calc_ns=500, result_num=1, result_den_exp=0)
+    records = [
+        record("wce", "baseline", **timed),
+        record("wce", "ones", **timed),
+        record("wce", "ones", error="boom"),
+        record("mae", "noabs", **timed),  # a group with no baseline
+    ]
+    rows = {(r.metric, r.algorithm): r for r in summarize(records)}
+    assert rows["wce", "ones"].records == 1
+    assert rows["wce", "ones"].speedup_vs_baseline == pytest.approx(1.0)
+    assert rows["mae", "noabs"].speedup_vs_baseline is None
+    lines = format_summary(list(rows.values()), records).splitlines()
+    mae_line = next(line for line in lines if line.startswith("mae"))
+    assert mae_line.split()[5] == "-"
+    assert "! 1 record(s) failed; see the JSON-lines output" in lines
+
+
 def test_format_summary_mentions_reference_and_flags(records):
     rows = summarize(records)
     text = format_summary(rows, records)

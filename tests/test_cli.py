@@ -313,6 +313,22 @@ def test_verify_checks_the_error_rate_witness(pair, capsys, monkeypatch, oracle_
     assert len(lines) == 1 and "its witness gives equal outputs" in lines[0]
 
 
+def test_verify_rejects_a_witness_for_a_zero_rate(pair, capsys, monkeypatch):
+    import axbdd.metrics as metrics_mod
+
+    real = metrics_mod.error_rate
+
+    def stray(f_word, fp_word):
+        return dataclasses.replace(real(f_word, fp_word), witness=f_word.manager.true)
+
+    monkeypatch.setattr(metrics_mod, "error_rate", stray)
+    golden = str(pair[0])
+    assert run_cli(["verify", "--golden", golden, "--approx", golden]) == 5
+    lines = [line for line in capsys.readouterr().out.splitlines() if "MISMATCH" in line]
+    assert len(lines) == 1
+    assert lines[0].startswith("ep direct    = 0") and "a rate of 0 has a witness" in lines[0]
+
+
 def test_search_tau_zero_keeps_function(tmp_path, capsys):
     seed_file = tmp_path / "seed.net"
     seed_file.write_text(emit(gen_adder("rca", 4, False)))
@@ -368,6 +384,7 @@ def test_search_rejects_negative_tau(tmp_path, capsys):
         ["search", "--seed-circuit", str(seed_file), "--tau", "-1"]
     )
     assert code == 2
+    assert capsys.readouterr().err == "error: threshold must be a finite number >= 0\n"
 
 
 def test_search_rejects_fractional_wce_tau(tmp_path, capsys):
@@ -452,6 +469,35 @@ def test_bench_command(tmp_path, capsys):
     assert lines[0].startswith("circuit_id,width,signed,metric,algorithm")
     assert len(lines) == 5
     assert "speedup" in capsys.readouterr().out
+
+
+def test_bench_jsonl_marks_failed_records(tmp_path, capsys, monkeypatch):
+    import axbdd.metrics as metrics_mod
+
+    def flaky(eps, *, limit=None):
+        raise RuntimeError("synthetic fault")
+
+    monkeypatch.setitem(metrics_mod._FAMILIES, ("wce", "ones"), flaky)
+    spec = {"kinds": ["rca"], "bits": [3], "mutants": 2, "metrics": ["wce"],
+            "algorithms": ["baseline", "ones"], "warmup": False,
+            "evolve_generations": 0}
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    out_jsonl = tmp_path / "records.jsonl"
+    assert run_cli(["bench", "--spec", str(spec_file), "--out-jsonl", str(out_jsonl)]) == 0
+    entries = [json.loads(line) for line in out_jsonl.read_text().splitlines()]
+    assert [e["algorithm"] for e in entries] == ["baseline", "ones"] * 2
+    for entry in entries:
+        failed = entry["algorithm"] == "ones"
+        assert ("synthetic fault" in entry["error"]) if failed else entry["error"] is None
+    assert "! 2 record(s) failed" in capsys.readouterr().out
+
+
+def test_bench_empty_corpus(tmp_path, capsys):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"mutants": 0}))
+    assert run_cli(["bench", "--spec", str(spec_file)]) == 0
+    assert capsys.readouterr().out == "empty corpus, nothing to do\n"
 
 
 def test_bench_bad_spec_exits_2(tmp_path, capsys):

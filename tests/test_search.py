@@ -80,6 +80,17 @@ def test_zero_budget_returns_seed():
     assert history[0].best_size == seed.active_gate_count()
 
 
+def test_zero_seconds_stops_after_generation_zero():
+    seed = gen_adder("rca", 4, False)
+    cfg = SearchConfig(metric="wce", threshold=5, max_seconds=0, seed=1)
+    best, history = run_search(seed, cfg)
+    assert best == seed
+    assert strip_timing(history) == [
+        {"generation": 0, "best_size": seed.active_gate_count(),
+         "best_error_numerator": 0, "best_error_denominator_exp": 0, "evals": 0}
+    ]
+
+
 def test_resume_from_previous_result():
     seed = gen_adder("rca", 5, False)
     cfg = SearchConfig(metric="wce", threshold=6, max_generations=40, seed=2)
