@@ -24,9 +24,12 @@ degenerates to on a terminal or on equal operands by a 2-bit one.  A
 ternary operation (:meth:`BddManager.apply3`) is coded by its 8-bit
 truth table, and degenerates to a binary code on a terminal or on two
 equal operands, so one recursion covers XOR3, MAJ and ITE with no
-intermediate BDDs.  Both arities share the one operation cache: a
-ternary entry is keyed by a 4-tuple, a binary one by a 3-tuple, so the
-two can never collide.
+intermediate BDDs.  The ripple cell of :mod:`axbdd.bitvec` needs two
+ternary results of the same operands, a sum and a carry; one recursion
+(:meth:`BddManager._cell`) walks the operands once and builds both.  All
+three kernels share the one operation cache: a binary entry is keyed by
+a 3-tuple, a ternary one by a 4-tuple and a sum-and-carry pair by a
+5-tuple, so no two can collide.
 
 Model counts are over all of the manager's variables at every node, so
 no count is rescaled by the levels a child skips.  The only pairwise
@@ -172,8 +175,8 @@ class BddManager:
 
     ``cache_capacity`` bounds the operation cache only (the node
     store itself is never evicted): the cache is one dict, shared by
-    binary and ternary operations and cleared when it reaches
-    ``cache_capacity`` entries, so it never holds more.  By
+    the binary, ternary and sum-and-carry kernels and cleared when it
+    reaches ``cache_capacity`` entries, so it never holds more.  By
     default it is unbounded and recomputes nothing.  The bound changes
     speed only, never a result.
 
@@ -247,6 +250,21 @@ class BddManager:
         return self._ref(
             self._apply3(table, self._unwrap(a), self._unwrap(b), self._unwrap(c))
         )
+
+    @_depth_guarded
+    def _cell(
+        self, ts: int, tc: int, a: NodeRef, b: NodeRef, c: NodeRef
+    ) -> tuple[NodeRef, NodeRef]:
+        """``(apply3(ts, a, b, c), apply3(tc, a, b, c))`` from one walk.
+
+        The ripple cell's sum and carry: both visit the same operand
+        triples, so one recursion builds the two and caches them as one
+        pair.
+        """
+        s, carry = self._apply3_pair(
+            ts, tc, self._unwrap(a), self._unwrap(b), self._unwrap(c)
+        )
+        return self._ref(s), self._ref(carry)
 
     @_depth_guarded
     def build(self, program, outputs) -> list[NodeRef]:
@@ -338,7 +356,7 @@ class BddManager:
 
     def clear_caches(self) -> None:
         """Start the three caches (operation, NOT, count) empty; nodes are kept."""
-        self._apply_cache: dict[tuple[int, ...], int] = {}
+        self._apply_cache: dict[tuple[int, ...], int | tuple[int, int]] = {}
         self._not_cache: dict[int, int] = {}
         self._count_cache: dict[int | tuple[int, int], int] = {
             0: 0,
@@ -439,6 +457,57 @@ class BddManager:
         r = self._mk(
             lv, self._apply3(table, a0, b0, c0), self._apply3(table, a1, b1, c1)
         )
+        if len(cache) >= self._cache_limit:
+            cache.clear()
+        cache[key] = r
+        return r
+
+    def _apply3_pair(
+        self, ts: int, tc: int, a: int, b: int, c: int
+    ) -> tuple[int, int]:
+        # _apply3 for two tables at once, one cache entry per triple.
+        # Where _apply3 degenerates to a binary operation, so does this,
+        # through _apply3 for each table.  _mk is written out inline for
+        # both nodes, which measured faster than two calls.
+        if a < 2 or b < 2 or c < 2 or a == b or a == c or b == c:
+            apply3 = self._apply3
+            return apply3(ts, a, b, c), apply3(tc, a, b, c)
+        key = (ts, tc, a, b, c)
+        cache = self._apply_cache
+        r = cache.get(key)
+        if r is not None:
+            return r
+        nodes = self._nodes
+        la, a0, a1 = nodes[a]
+        lb, b0, b1 = nodes[b]
+        lc, c0, c1 = nodes[c]
+        lv = la if la < lb else lb
+        if lc < lv:
+            lv = lc
+        if la != lv:
+            a0 = a1 = a
+        if lb != lv:
+            b0 = b1 = b
+        if lc != lv:
+            c0 = c1 = c
+        s0, r0 = self._apply3_pair(ts, tc, a0, b0, c0)
+        s1, r1 = self._apply3_pair(ts, tc, a1, b1, c1)
+        unique = self._unique
+        s = s0
+        if s0 != s1:
+            k = (lv, s0, s1)
+            s = unique.get(k)
+            if s is None:
+                s = unique[k] = len(nodes)
+                nodes.append(k)
+        carry = r0
+        if r0 != r1:
+            k = (lv, r0, r1)
+            carry = unique.get(k)
+            if carry is None:
+                carry = unique[k] = len(nodes)
+                nodes.append(k)
+        r = s, carry
         if len(cache) >= self._cache_limit:
             cache.clear()
         cache[key] = r

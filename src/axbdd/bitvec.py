@@ -11,10 +11,10 @@ codes are this module's own, kept apart from the evaluators that
 :mod:`axbdd.circuit` simulates with, so each side checks the other.
 
 :func:`add` and :func:`subtract` share one ripple-carry cell,
-:func:`_ripple`: two ternary kernel calls per bit, XOR3 for the sum and
-majority for the carry, with no intermediate BDDs.  Subtraction is the
-same cell with the second operand inverted inside both truth tables and
-the carry input set.
+:func:`_ripple`: one kernel walk per bit builds the sum (XOR3) and the
+carry (majority) together, with no intermediate BDDs.  Subtraction is
+the same cell with the second operand inverted inside both truth tables
+and the carry input set.
 """
 
 from __future__ import annotations
@@ -106,8 +106,9 @@ def _ripple(
     """Ripple-carry word one bit wider than the wider operand.
 
     Bit i is ``sum_table(a_i, b_i, carry)`` and the next carry is
-    ``carry_table(a_i, b_i, carry)``, both one :meth:`BddManager.apply3`
-    call on 8-bit truth tables.  The last carry is dropped.
+    ``carry_table(a_i, b_i, carry)``, for 8-bit truth tables.  One
+    :meth:`BddManager._cell` walk builds both; the top bit needs no
+    carry, so it is one :meth:`BddManager.apply3` call.
     """
     if a.manager is not b.manager:
         raise BddError("words belong to different managers")
@@ -117,22 +118,22 @@ def _ripple(
     a = extend(a, width)
     b = extend(b, width)
     manager = a.manager
-    apply3 = manager.apply3
+    cell = manager._cell
     carry = manager.true if carry_in else manager.false
     bits = []
-    for i in range(width):
-        abit, bbit = a.bits[i], b.bits[i]
-        bits.append(apply3(sum_table, abit, bbit, carry))
-        if i + 1 < width:
-            carry = apply3(carry_table, abit, bbit, carry)
+    for i in range(width - 1):
+        bit, carry = cell(sum_table, carry_table, a.bits[i], b.bits[i], carry)
+        bits.append(bit)
+    bits.append(manager.apply3(sum_table, a.bits[-1], b.bits[-1], carry))
     return BddWord(tuple(bits), signed)
 
 
 def add(a: BddWord, b: BddWord) -> BddWord:
     """Ripple-carry sum, one bit wider than the widest operand.
 
-    Two ternary kernel calls per bit (XOR3 and majority).  The extra bit
-    absorbs the carry, so the integer value is exact for every assignment.
+    One sum-and-carry kernel walk per bit (XOR3 and majority).  The extra
+    bit absorbs the carry, so the integer value is exact for every
+    assignment.
     """
     return _ripple(a, b, _ADD_SUM, _ADD_CARRY, False, a.signed)
 
@@ -141,8 +142,8 @@ def subtract(a: BddWord, b: BddWord) -> BddWord:
     """Ripple-carry difference as a signed word, one bit wider than the operands.
 
     The adder cell with the second operand inverted inside both truth
-    tables, so no complement copy is built, and the carry input set: two
-    ternary kernel calls per bit.  The extra bit means it can never
+    tables, so no complement copy is built, and the carry input set: one
+    sum-and-carry kernel walk per bit.  The extra bit means it can never
     overflow.
     """
     return _ripple(a, b, _SUB_SUM, _SUB_CARRY, True, True)

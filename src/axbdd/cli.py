@@ -231,6 +231,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return value
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -255,7 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     pair = argparse.ArgumentParser(add_help=False)
     pair.add_argument("--golden", required=True)
     pair.add_argument("--approx", required=True)
-    pair.add_argument("--max-oracle-bits", type=int, default=DEFAULT_ORACLE_LIMIT)
+    pair.add_argument(
+        "--max-oracle-bits", type=_non_negative_int, default=DEFAULT_ORACLE_LIMIT
+    )
     pair.add_argument(
         "--signedness",
         choices=("signed", "unsigned"),

@@ -273,6 +273,24 @@ def test_apply3_bounded_cache_changes_nothing_but_speed():
     assert results[0] == results[1] == results[2]
 
 
+@pytest.mark.parametrize("capacity", [None, 1])
+def test_cell_is_apply3_of_each_table(capacity):
+    rng = random.Random(41)
+    m = BddManager(6, cache_capacity=capacity)
+    pool = [node for node, _ in random_formula_pool(m, rng, extra=60)]
+    pool += [m.false, m.true]
+    tables = [(0x96, 0xE8), (0x69, 0xB2), (0xE8, 0x96), (0xB2, 0x69)]
+    tables += [(rng.randrange(256), rng.randrange(256)) for _ in range(60)]
+    for ts, tc in tables:
+        for _ in range(20):
+            a, b, c = (rng.choice(pool) for _ in range(3))
+            s, carry = m._cell(ts, tc, a, b, c)
+            assert s is m.apply3(ts, a, b, c), (ts, a, b, c)
+            assert carry is m.apply3(tc, a, b, c), (tc, a, b, c)
+        if capacity is not None:
+            assert len(m._apply_cache) <= capacity
+
+
 def test_ternary_and_binary_entries_share_one_cache():
     m = BddManager(3)
     x, y, z = m.var(0), m.var(1), m.var(2)
@@ -280,6 +298,12 @@ def test_ternary_and_binary_entries_share_one_cache():
     m.apply3(0xE8, x, y, z)
     assert (0xE8, x.index, y.index, z.index) in m._apply_cache
     assert {len(key) for key in m._apply_cache} == {3, 4}
+    # A sum-and-carry pair is one 5-tuple entry beside them.
+    s, carry = m._cell(0x96, 0xE8, x, y, z)
+    assert m._apply_cache[(0x96, 0xE8, x.index, y.index, z.index)] == (
+        s.index, carry.index
+    )
+    assert {len(key) for key in m._apply_cache} == {3, 4, 5}
     m.clear_caches()
     assert m._apply_cache == {}
 
@@ -487,6 +511,11 @@ DEEP_CALLS = {
     "sat_prob": lambda m, conj, disj: m.sat_prob(conj),
     "sat_count_and": lambda m, conj, disj: m.sat_count_and(conj, disj),
     "sat_count_andnot": lambda m, conj, disj: m.sat_count_andnot(disj, conj),
+    # Bit 0 leaves the carry NOT x(DEEP-1), so bit 1 is a sum-and-carry
+    # walk over three non-terminal operands.
+    "subtract": lambda m, conj, disj: subtract(
+        BddWord((m.false, conj), False), BddWord((m.var(DEEP - 1), disj), False)
+    ),
 }
 
 

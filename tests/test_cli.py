@@ -367,6 +367,17 @@ def test_search_deterministic_outputs(tmp_path, capsys):
     assert one_run("a") == one_run("b")
 
 
+@pytest.mark.parametrize("command", ["verify", "eval"])
+def test_negative_max_oracle_bits_is_a_usage_error(pair, capsys, command):
+    golden, approx = pair
+    code = run_cli(
+        [command, "--golden", str(golden), "--approx", str(approx),
+         "--max-oracle-bits", "-3"]
+    )
+    assert code == 2
+    assert "must be a non-negative integer" in capsys.readouterr().err
+
+
 def test_search_gateless_seed_exits_2(tmp_path, capsys):
     seed_file = tmp_path / "id.net"
     seed_file.write_text(".model id\n.inputs a b\n.outputs a b\n.end\n")
