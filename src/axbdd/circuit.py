@@ -19,7 +19,11 @@ duplicates, outputs); a parse error names its line wherever it has one.
 Both referees, :func:`simulate` and the enumeration oracle
 :func:`oracle_metrics`, evaluate gates through the one table
 :data:`GATES`: ``simulate`` on 0/1 ints, the oracle on bit planes that
-pack 64 assignments into each ``uint64`` word.  The BDD compiler in
+pack 64 assignments into each ``uint64`` word.  The oracle compiles
+both circuits into one straight-line program over slots, in which a
+gate equal by operation and operand slots to an earlier one is
+evaluated once, and it drops each plane after the last step that reads
+it, so a chunk holds only live planes.  The BDD compiler in
 :mod:`axbdd.bitvec` codes the same gates as truth tables of its own, so
 a wrong entry on either side shows up as a mismatch between the BDD and
 the referees.  The oracle's arithmetic is its own numpy code; this
@@ -267,22 +271,17 @@ def emit(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_gates(c: Circuit, values: dict) -> dict:
-    """Evaluate every gate in order into ``values``, which holds the inputs."""
-    first = c.inputs[:1]
-    for g in c.gates:
-        ins = g.inputs or first
-        values[g.out] = GATES[g.op][1](values[ins[0]], values[ins[-1]])
-    return values
-
-
 def simulate(c: Circuit, assignment) -> OutputWord:
     """Evaluate one input assignment gate by gate."""
     if len(assignment) != c.input_count:
         raise ValueError(
             f"assignment has {len(assignment)} bits, circuit has {c.input_count} inputs"
         )
-    values = _run_gates(c, dict(zip(c.inputs, (int(bool(v)) for v in assignment))))
+    values = dict(zip(c.inputs, (int(bool(v)) for v in assignment)))
+    first = c.inputs[:1]
+    for g in c.gates:
+        ins = g.inputs or first
+        values[g.out] = GATES[g.op][1](values[ins[0]], values[ins[-1]])
     return OutputWord(tuple(values[w] & 1 for w in c.outputs), c.signed)
 
 
@@ -317,50 +316,136 @@ def check_interface(f: Circuit, fp: Circuit) -> None:
         )
 
 
-def _input_planes(n: int, start: int, count: int) -> list[np.ndarray]:
-    """Planes of ``n`` inputs over words ``start`` .. ``start + count - 1``.
+def _flat(size: int, word: int) -> np.ndarray:
+    """A read-only plane of ``size`` copies of one word, in one word of memory."""
+    return np.broadcast_to(np.uint64(word), size)
+
+
+def _chunk_inputs(n: int, words: int):
+    """Yield the ``n`` input planes of each chunk of ``_ORACLE_WORDS`` words.
 
     Lane k of word w is assignment 64 w + k, and input i is its bit i:
     inputs 0-5 are the lane masks, and input i >= 6 is all ones or all
-    zeros by bit i - 6 of the word index.
+    zeros by bit i - 6 of the word index.  A plane that repeats across
+    chunks is built once per call: the lane masks and the all-zero and
+    all-one planes of inputs constant over a chunk (each one word of
+    memory, see :func:`_flat`), and the word-index bits whose period
+    divides the chunk size, since chunks start at multiples of it.  Any
+    other plane is built for its chunk only, so memory does not grow
+    with the number of chunks.  No plane may be written to.
     """
-    words = np.arange(start, start + count, dtype=np.uint64)
-    return [
-        np.full(count, _LANE_MASKS[i], dtype=np.uint64) if i < 6
-        else np.negative(words >> (i - 6) & 1)
-        for i in range(n)
-    ]
+    size = min(_ORACLE_WORDS, words)
+    index = np.arange(size, dtype=np.uint64)
+    lanes = [_flat(size, mask) for mask in _LANE_MASKS[:n]]
+    periodic = {
+        j: np.negative(index >> j & 1)
+        for j in range(n - 6)
+        if size % (2 << j) == 0
+    }
+    flat = {}
+    for start in range(0, words, size):
+        count = min(size, words - start)
+        last = start + count - 1
+        planes = lanes[:]
+        for j in range(n - 6):
+            if start >> j == last >> j:
+                bit = start >> j & 1
+                if bit not in flat:
+                    flat[bit] = _flat(size, bit * ((1 << 64) - 1))
+                planes.append(flat[bit])
+            elif j in periodic:
+                planes.append(periodic[j])
+            else:
+                word = np.arange(start, start + count, dtype=np.uint64)
+                planes.append(np.negative(word >> j & 1))
+        yield planes if count == size else [p[:count] for p in planes]
 
 
-def _output_planes(c: Circuit, planes) -> list[np.ndarray]:
-    """Output planes of ``c``, least significant first, from one plane per input."""
-    values = _run_gates(c, dict(zip(c.inputs, planes)))
-    return [values[w] for w in c.outputs]
+class _Program:
+    """Circuits over the same inputs as one straight-line program on slots.
+
+    Slots ``0 .. n - 1`` hold the inputs, and each gate step writes one
+    new slot.  A gate whose ``(op, operand slot, operand slot)`` equals an
+    earlier step's takes that step's slot and adds no step, so a gate is
+    shared by value, whatever its wire is called and in whichever
+    circuit it sits.  Only steps that some output depends on are kept.
+    Each step lists the slots it reads for the last time, and
+    :meth:`run` drops their planes as soon as the step is done; output
+    planes are kept to the end.
+    """
+
+    def __init__(self, *circuits: Circuit):
+        n = circuits[0].input_count
+        keys: dict[tuple, int] = {}
+        gates: list[tuple] = []
+        self.outputs = []
+        for c in circuits:
+            slot = dict(zip(c.inputs, range(n)))
+            for g in c.gates:
+                ins = [slot[w] for w in g.inputs] or [0]
+                key = (g.op, ins[0], ins[-1])
+                if key not in keys:
+                    keys[key] = n + len(gates)
+                    gates.append(key)
+                slot[g.out] = keys[key]
+            self.outputs.append(tuple(slot[w] for w in c.outputs))
+        self.size = n + len(gates)
+        live = {s for outs in self.outputs for s in outs}
+        steps = []
+        for out in reversed(range(n, self.size)):
+            if out in live:
+                op, a, b = gates[out - n]
+                steps.append((GATES[op][1], a, b, out, tuple({a, b} - live)))
+                live.update((a, b))
+        steps.reverse()
+        self.steps = steps
+
+    def run(self, planes: list) -> list[list[np.ndarray]]:
+        """Each circuit's output planes, least significant first, from one
+        plane per input."""
+        values = planes + [None] * (self.size - len(planes))
+        for evaluate, a, b, out, drops in self.steps:
+            values[out] = evaluate(values[a], values[b])
+            for s in drops:
+                values[s] = None
+        return [[values[s] for s in outs] for outs in self.outputs]
 
 
-def _magnitude(f: list, fp: list, signed: bool) -> list[np.ndarray]:
-    """The m planes of |F - F'| for two m-bit output words.
+def _tally(f: list, fp: list, signed: bool) -> tuple[int, int, int]:
+    """(largest, sum, nonzero count) of |F - F'| over the lanes of two
+    m-bit output words.
 
     A ripple borrow forms d = F - F' over m + 1 planes, each word extended
-    by its sign plane if signed and by zero if not; then |d| = (d ^ s) + s
-    with s the sign plane of d.  |F - F'| < 2^m, so m planes hold it.
+    by its sign plane if signed and by zero if not; the borrow out of a
+    bit is the bit of F' where the bits differ and the borrow in where
+    they agree, so a bit both words take from the same slot passes the
+    borrow on untouched.  Then |d| = (d ^ s) + s with s the sign plane of
+    d, and |F - F'| < 2^m, so m planes hold it; each plane of d is
+    dropped once its magnitude plane is formed.
     """
-    zero = f[0] ^ f[0]
-    top = (f[-1], fp[-1]) if signed else (zero, zero)
+    zero = _flat(len(f[0]), 0)
+    diff = borrow = x = zero
     d = []
-    borrow = zero
-    for a, b in zip([*f, top[0]], [*fp, top[1]]):
+    for a, b in zip(f, fp):
+        if a is b:
+            x = zero
+            d.append(borrow)
+            continue
         x = a ^ b
+        diff = diff | x
         d.append(x ^ borrow)
-        borrow = (~a & b) | (~x & borrow)
-    s = d.pop()
-    out = []
+        borrow = borrow ^ (x & (b ^ borrow))
+    s = borrow ^ x if signed else borrow
+    mag = []
+    total = 0
     carry = s
-    for p in d:
-        x = p ^ s
-        out.append(x ^ carry)
+    for i in range(len(d)):
+        x = d[i] ^ s
+        d[i] = None
+        mag.append(x ^ carry)
         carry = x & carry
-    return out
+        total += _popcount(mag[-1]) << i
+    return _largest(mag), total, _popcount(diff)
 
 
 def _popcount(plane: np.ndarray) -> int:
@@ -384,11 +469,14 @@ def oracle_metrics(
     """Exact (wce, mae, error_rate) by enumerating every input assignment.
 
     Bit-parallel: every wire is a ``uint64`` plane that holds 64
-    assignments per word, run through :data:`GATES` in chunks of
-    ``_ORACLE_WORDS`` words.  The difference, its magnitude, the maximum
-    and the sums are bitwise arithmetic on the planes, totalled as
-    per-plane popcounts over every lane in Python ints, so any output
-    width is exact.
+    assignments per word, in chunks of ``_ORACLE_WORDS`` words.  Both
+    circuits run as one :class:`_Program` through :data:`GATES`, so a
+    gate the approximation shares by value with the golden circuit is
+    evaluated once, and a plane is dropped after the last step that
+    reads it.  The difference, its magnitude, the maximum and the sums
+    are bitwise arithmetic on the output planes, totalled as per-plane
+    popcounts over every lane in Python ints, so any output width is
+    exact.
     Refuses input counts above ``limit``: enumeration time doubles per
     extra input.
     """
@@ -399,17 +487,19 @@ def oracle_metrics(
             f"{n} inputs exceed the oracle limit of {limit}"
         )
     words = max(1, (1 << n) >> 6)
+    program = _Program(f, fp)
     wce = abs_sum = diff_count = 0
-    for start in range(0, words, _ORACLE_WORDS):
-        planes = _input_planes(n, start, min(_ORACLE_WORDS, words - start))
-        out_f, out_fp = _output_planes(f, planes), _output_planes(fp, planes)
-        diff = out_f[0] ^ out_fp[0]
-        for a, b in zip(out_f[1:], out_fp[1:]):
-            diff |= a ^ b
-        mag = _magnitude(out_f, out_fp, f.signed)
-        diff_count += _popcount(diff)
-        abs_sum += sum(_popcount(p) << i for i, p in enumerate(mag))
-        wce = max(wce, _largest(mag))
+    for planes in _chunk_inputs(n, words):
+        # ``outputs`` holds a chunk's output planes until the next chunk's
+        # replace them.  Were every plane freed at a chunk's end, the
+        # allocator could hand that memory back to the system and the next
+        # chunk would fault it in again: a 26-input rca pair took about 560
+        # page faults per chunk that way, against about 14.
+        outputs = program.run(planes)
+        largest, chunk_sum, chunk_diff = _tally(*outputs, f.signed)
+        wce = max(wce, largest)
+        abs_sum += chunk_sum
+        diff_count += chunk_diff
     # Below 6 inputs the one word holds each of the 2^n rows 2^(6 - n)
     # times, which scales both sums alike and leaves the maximum alone.
     total = words << 6

@@ -224,18 +224,22 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
+def _int_at_least(text: str, least: int, kind: str) -> int:
+    try:
+        value = int(text)
+        if value >= least:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a {kind} integer")
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+    return _int_at_least(text, 1, "positive")
 
 
 def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return value
+    return _int_at_least(text, 0, "non-negative")
 
 
 def _fraction(text: str) -> Fraction:

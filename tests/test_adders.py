@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from axbdd import Circuit, emit, gen_adder, int_value, mutate, simulate
-from axbdd.circuit import _output_planes
+from axbdd.circuit import _Program
 
 from conftest import adder_value_pair, all_assignments
 
@@ -27,7 +27,7 @@ def test_adders_exact_exhaustively(kind, signed, bits):
 @pytest.mark.parametrize("signed", [False, True])
 def test_wide_adders_exact_on_random_sample(kind, signed):
     # widths past exhaustive reach get a large random sample: 1,000,000
-    # assignments, 64 to a uint64 word, through the oracle's plane helper
+    # assignments, 64 to a uint64 word, through the oracle's program
     bits = 16
     c = gen_adder(kind, bits, signed)
     rng = np.random.default_rng(123)
@@ -44,7 +44,8 @@ def test_wide_adders_exact_on_random_sample(kind, signed):
             total += lanes.astype(np.int64) * weight
         return total
 
-    sums = value(_output_planes(c, list(words)))
+    (out,) = _Program(c).run(list(words))
+    sums = value(out)
     assert np.array_equal(sums, value(words[0::2]) + value(words[1::2]))
 
 

@@ -24,7 +24,7 @@ from axbdd import (
     simulate,
 )
 import axbdd.circuit as circuit_mod
-from axbdd.circuit import _input_planes, _output_planes
+from axbdd.circuit import GATES, _chunk_inputs, _Program
 
 from conftest import (
     HALF_ADDER_TEXT,
@@ -58,11 +58,11 @@ def test_simulate_half_adder():
 
 
 def check_rows(c, table):
-    """Each row's output by simulate on 0/1 ints, by the oracle's plane
-    helper on one full uint64 word (lane k is row k mod 2^n, so all 64
-    lanes are checked), and by the compiled BDD."""
+    """Each row's output by simulate on 0/1 ints, by the oracle's program
+    on one full uint64 word (lane k is row k mod 2^n, so all 64 lanes are
+    checked), and by the compiled BDD."""
     n = c.input_count
-    (plane,) = _output_planes(c, _input_planes(n, 0, 1))
+    ((plane,),) = _Program(c).run(next(_chunk_inputs(n, 1)))
     m = BddManager(n)
     (bit,) = compile_circuit(m, c).bits
     for bits, expected in table.items():
@@ -397,6 +397,114 @@ def test_oracle_chunks_give_the_same_triple(monkeypatch, words):
     whole = [oracle_metrics(g, a) for g, a in pairs]
     monkeypatch.setattr(circuit_mod, "_ORACLE_WORDS", words)
     assert [oracle_metrics(g, a) for g, a in pairs] == whole
+
+
+def test_oracle_shares_every_gate_of_a_renamed_copy():
+    golden = gen_adder("cla", 4, True)
+    name = {g.out: f"r{i}" for i, g in enumerate(golden.gates)}
+    renamed = Circuit(
+        "renamed",
+        golden.inputs,
+        tuple(name.get(w, w) for w in golden.outputs),
+        tuple(
+            Gate(g.op, tuple(name.get(w, w) for w in g.inputs), name[g.out])
+            for g in golden.gates
+        ),
+        golden.signed,
+    )
+    program = _Program(golden, renamed)
+    assert program.outputs[0] == program.outputs[1]
+    assert program.steps == _Program(golden).steps
+    assert oracle_metrics(golden, renamed) == (0, 0, 0)
+
+
+def _move(golden, mutant):
+    """The mutate move that turned ``golden`` into the one-edit ``mutant``."""
+    changed = [
+        (g, h) for g, h in zip(golden.gates, mutant.gates) if g != h
+    ]
+    if len(changed) != 1:
+        return None
+    ((g, h),) = changed
+    if not h.inputs:
+        return "const"
+    if not g.inputs:
+        return None  # a constant grown back into a unary gate
+    return "op" if g.op != h.op else "rewire"
+
+
+@pytest.mark.parametrize("kind", ["rca", "cla", "cska"])
+@pytest.mark.parametrize("bits", [3, 4])
+@pytest.mark.parametrize("signed", [False, True])
+def test_oracle_matches_brute_force_on_every_mutate_move(kind, bits, signed):
+    golden = gen_adder(kind, bits, signed)
+    rows = 1 << golden.input_count
+    seen = set()
+    for seed in range(100):
+        mutant = mutate(golden, seed, 1)
+        move = _move(golden, mutant)
+        if move is None or move in seen:
+            continue
+        seen.add(move)
+        wce, abs_sum, diff = brute_force_metrics(golden, mutant)
+        expected = (wce, Fraction(abs_sum, rows), Fraction(diff, rows))
+        assert oracle_metrics(golden, mutant) == expected, (move, seed)
+    assert seen == {"op", "rewire", "const"}
+
+
+def test_oracle_never_shares_gates_that_differ_in_op():
+    # Every operation on the same operand slots: one step and one slot each.
+    inputs = ("a", "b")
+    gates = tuple(
+        Gate(op, inputs[:arity], f"o_{op}") for op, (arity, _) in GATES.items()
+    )
+    golden = Circuit("ops", inputs, tuple(g.out for g in gates), gates)
+    program = _Program(golden)
+    assert len(program.steps) == len(GATES)
+    assert len(set(program.outputs[0])) == len(GATES)
+    # Rotated, each output's gate takes the next operation on the same
+    # operands: it shares the golden gate of that operation, not its own.
+    ops = [g.op for g in gates]
+    rotated = Circuit(
+        "rotated",
+        inputs,
+        golden.outputs,
+        tuple(
+            Gate(op, inputs[: GATES[op][0]], g.out)
+            for op, g in zip(ops[1:] + ops[:1], gates)
+        ),
+    )
+    shared = _Program(golden, rotated)
+    assert len(shared.steps) == len(GATES)
+    assert all(a != b for a, b in zip(*shared.outputs))
+    wce, abs_sum, diff = brute_force_metrics(golden, rotated)
+    assert oracle_metrics(golden, rotated) == (
+        wce,
+        Fraction(abs_sum, 4),
+        Fraction(diff, 4),
+    )
+
+
+def test_oracle_builds_each_repeated_input_plane_once(monkeypatch):
+    # With 4-word chunks a 16-input pair takes 256 chunks.  Planes that
+    # repeat across chunks must be the same objects, not rebuilt or kept
+    # per chunk: kept per chunk, a 32-input pair would hold 2^13 planes.
+    golden = gen_adder("rca", 8, False)
+    approx = mutate(golden, 5, 4)
+    whole = oracle_metrics(golden, approx)
+    chunks = []
+    chunk_inputs = circuit_mod._chunk_inputs
+
+    def spy(n, words):
+        for planes in chunk_inputs(n, words):
+            chunks.append(planes)
+            yield planes
+
+    monkeypatch.setattr(circuit_mod, "_ORACLE_WORDS", 4)
+    monkeypatch.setattr(circuit_mod, "_chunk_inputs", spy)
+    assert oracle_metrics(golden, approx) == whole
+    assert len(chunks) == 256
+    assert len({id(p) for planes in chunks for p in planes}) <= 16 + 2
 
 
 def test_interface_checks(identity2):

@@ -378,6 +378,26 @@ def test_negative_max_oracle_bits_is_a_usage_error(pair, capsys, command):
     assert "must be a non-negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["gen", "--bits", "x"], "argument --bits: must be a positive integer"),
+        (["bench", "--workers", "x"], "argument --workers: must be a positive integer"),
+        (
+            ["verify", "--golden", "g.net", "--approx", "a.net",
+             "--max-oracle-bits", "x"],
+            "argument --max-oracle-bits: must be a non-negative integer",
+        ),
+    ],
+    ids=["gen-bits", "bench-workers", "verify-max-oracle-bits"],
+)
+def test_non_integer_count_is_a_plain_usage_error(capsys, argv, message):
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: {message}\n")
+    assert "_int" not in err and "invalid" not in err
+
+
 def test_search_gateless_seed_exits_2(tmp_path, capsys):
     seed_file = tmp_path / "id.net"
     seed_file.write_text(".model id\n.inputs a b\n.outputs a b\n.end\n")
