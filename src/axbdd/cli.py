@@ -78,7 +78,7 @@ def cmd_eval(args) -> int:
     if args.relative and args.metric == metrics.ERROR_RATE:
         raise ValueError("error rate is already relative; drop --relative")
     if args.algo == "oracle":
-        if n >= 28:
+        if args.max_oracle_bits >= n >= 28:
             print(
                 f"warning: enumerating 2^{n} inputs; this may take a while",
                 file=sys.stderr,

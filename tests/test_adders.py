@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from axbdd import Circuit, emit, gen_adder, int_value, mutate, simulate
-from axbdd.circuit import _Program
+from axbdd.oracle import _Program
 
 from conftest import adder_value_pair, all_assignments
 

@@ -23,8 +23,9 @@ from axbdd import (
     parse,
     simulate,
 )
-import axbdd.circuit as circuit_mod
-from axbdd.circuit import GATES, _chunk_inputs, _Program
+import axbdd.oracle as oracle_mod
+from axbdd.circuit import GATES
+from axbdd.oracle import _chunk_inputs, _Program
 
 from conftest import (
     HALF_ADDER_TEXT,
@@ -395,7 +396,7 @@ def test_oracle_chunks_give_the_same_triple(monkeypatch, words):
         golden = random_netlist(rng, "golden", inputs, 4, signed)
         pairs.append((golden, random_netlist(rng, "approx", inputs, 4, signed)))
     whole = [oracle_metrics(g, a) for g, a in pairs]
-    monkeypatch.setattr(circuit_mod, "_ORACLE_WORDS", words)
+    monkeypatch.setattr(oracle_mod, "_ORACLE_WORDS", words)
     assert [oracle_metrics(g, a) for g, a in pairs] == whole
 
 
@@ -493,15 +494,15 @@ def test_oracle_builds_each_repeated_input_plane_once(monkeypatch):
     approx = mutate(golden, 5, 4)
     whole = oracle_metrics(golden, approx)
     chunks = []
-    chunk_inputs = circuit_mod._chunk_inputs
+    chunk_inputs = oracle_mod._chunk_inputs
 
     def spy(n, words):
         for planes in chunk_inputs(n, words):
             chunks.append(planes)
             yield planes
 
-    monkeypatch.setattr(circuit_mod, "_ORACLE_WORDS", 4)
-    monkeypatch.setattr(circuit_mod, "_chunk_inputs", spy)
+    monkeypatch.setattr(oracle_mod, "_ORACLE_WORDS", 4)
+    monkeypatch.setattr(oracle_mod, "_chunk_inputs", spy)
     assert oracle_metrics(golden, approx) == whole
     assert len(chunks) == 256
     assert len({id(p) for planes in chunks for p in planes}) <= 16 + 2

@@ -127,12 +127,15 @@ def test_eval_interface_mismatch_exits_3(tmp_path, pair, capsys):
 
 
 def test_eval_oracle_limit_exits_4(tmp_path, capsys):
-    big = tmp_path / "big.net"
-    big.write_text(emit(gen_adder("rca", 13, False)))  # 26 inputs
-    code = run_cli(
-        ["eval", "--golden", str(big), "--approx", str(big), "--algo", "oracle"]
-    )
-    assert code == 4
+    # 26 and 32 inputs: a refused pair gets no "may take a while" warning.
+    for bits in (13, 16):
+        big = tmp_path / "big.net"
+        big.write_text(emit(gen_adder("rca", bits, False)))
+        code = run_cli(
+            ["eval", "--golden", str(big), "--approx", str(big), "--algo", "oracle"]
+        )
+        assert code == 4
+        assert "warning" not in capsys.readouterr().err
 
 
 def wide_pair(tmp_path, width=70):
