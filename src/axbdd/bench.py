@@ -210,7 +210,7 @@ def _build_tasks(spec: CorpusSpec) -> list[tuple[BenchRecord, Circuit, Circuit]]
         golden = gen_adder(kind, bits, signed)
         rng = random.Random(f"{spec.seed}:{kind}:{bits}:{int(signed)}")
         parents = [golden]
-        if spec.evolve_generations > 0:
+        if spec.evolve_generations > 0 and spec.mutants > 0:
             parents = _evolved_parents(golden, spec, rng.getrandbits(32))
         for i in range(spec.mutants):
             seed = rng.getrandbits(64)

@@ -12,9 +12,10 @@ The text format is line oriented (``#`` starts a comment)::
 The gate operations and their input counts are the rows of
 :data:`GATES`.  Gates must appear in topological order, one per line.
 
-:func:`parse` checks the syntax (directives, token shape, ``.inputs``
-before gates) and :class:`Circuit` the wires (arity, definition order,
-duplicates, outputs); a parse error names its line wherever it has one.
+:func:`parse` checks the syntax (directives, each but ``.gate`` at most
+once, token shape, ``.inputs`` before gates) and :class:`Circuit` the
+wires (arity, definition order, duplicates, outputs); a parse error
+names its line wherever it has one.
 
 Both referees, :func:`simulate` on 0/1 ints and the enumeration oracle
 of :mod:`axbdd.oracle` on bit planes, evaluate gates through the one
@@ -173,6 +174,7 @@ def parse(text: str) -> Circuit:
     signed = False
     gates: list[Gate] = []
     gate_lines: list[int] = []
+    seen = set()
     ended = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -183,19 +185,19 @@ def parse(text: str) -> Circuit:
             raise NetlistError("content after .end", lineno)
         tokens = line.split()
         head = tokens[0]
+        if head in seen:
+            raise NetlistError(f"duplicate {head}", lineno)
+        if head != ".gate":
+            seen.add(head)
         if head == ".model":
             if len(tokens) != 2:
                 raise NetlistError(".model takes exactly one name", lineno)
             name = tokens[1]
         elif head == ".inputs":
-            if inputs is not None:
-                raise NetlistError("duplicate .inputs", lineno)
             if len(tokens) < 2:
                 raise NetlistError(".inputs needs at least one wire", lineno)
             inputs = tokens[1:]
         elif head == ".outputs":
-            if outputs is not None:
-                raise NetlistError("duplicate .outputs", lineno)
             if len(tokens) < 2:
                 raise NetlistError(".outputs needs at least one wire", lineno)
             outputs = tokens[1:]
@@ -240,7 +242,11 @@ def parse_file(path) -> Circuit:
 
 
 def emit(c: Circuit) -> str:
-    """Netlist source for a circuit; ``parse(emit(c)) == c``."""
+    """Netlist source for a circuit; ``parse(emit(c)) == c``, so a model or
+    wire name that is not one token without ``#`` raises NetlistError."""
+    for name in (c.name, *c.inputs, *(g.out for g in c.gates)):
+        if "#" in name or name.split() != [name]:
+            raise NetlistError(f"name {name!r} is not one token without '#'")
     lines = [
         f".model {c.name}",
         ".inputs " + " ".join(c.inputs),

@@ -2,13 +2,14 @@
 
 Every wire is a bit plane, a numpy ``uint64`` array that packs 64 input
 assignments into each word, and the assignments are enumerated in
-chunks of ``_ORACLE_WORDS`` words.  Both circuits compile into one
-straight-line program over slots, :class:`_Program`, which runs the
-gate table :data:`axbdd.circuit.GATES`: a gate equal by operation and
-operand slots to an earlier one is evaluated once, and each plane is
-dropped after the last step that reads it, so a chunk holds only live
-planes.  The difference, its magnitude, the maximum and the sums are
-bitwise arithmetic on the output planes (:func:`_tally`), totalled as
+chunks of 2^``_CHUNK_BITS`` words (:func:`_chunk_inputs`).  Both
+circuits compile into one straight-line program over slots,
+:class:`_Program`, which runs the gate table
+:data:`axbdd.circuit.GATES`: a gate equal by operation and operand
+slots to an earlier one is evaluated once, and each plane is dropped
+after the last step that reads it, so a chunk holds only live planes.
+The difference, its magnitude, the maximum and the sums are bitwise
+arithmetic on the output planes (:func:`_tally`), totalled as
 per-plane popcounts in Python ints, so any output width is exact.
 
 This is the only module of the package that imports numpy, and it
@@ -25,10 +26,11 @@ import numpy as np
 
 from .circuit import GATES, Circuit
 
-#: Words per chunk of the oracle's enumeration: 2^19 assignments.  A
-#: plane is then 64 KB, and a chunk's planes stay closer to the CPU
-#: caches than at 2^14 words, which measured slower at 20 and 24 inputs.
-_ORACLE_WORDS = 1 << 13
+#: log2 of the words per chunk, so that chunks are powers of two like the
+#: whole enumeration and tile it: 2^13 words, 2^19 assignments.  A plane is
+#: then 64 KB, closer to the CPU caches than at 2^14 words, which measured
+#: slower at 20 and 24 inputs.
+_CHUNK_BITS = 13
 
 #: Plane of input i < 6 in every word: lane k holds bit i of k, which
 #: gives 0xAAAA..., 0xCCCC..., 0xF0F0..., ..., 0xFFFFFFFF00000000.
@@ -40,44 +42,26 @@ def _flat(size: int, word: int) -> np.ndarray:
     return np.broadcast_to(np.uint64(word), size)
 
 
-def _chunk_inputs(n: int, words: int):
-    """Yield the ``n`` input planes of each chunk of ``_ORACLE_WORDS`` words.
+def _chunk_inputs(n: int):
+    """Yield the ``n`` input planes of each chunk of the enumeration.
 
     Lane k of word w is assignment 64 w + k, and input i is its bit i:
     inputs 0-5 are the lane masks, and input i >= 6 is all ones or all
-    zeros by bit i - 6 of the word index.  A plane that repeats across
-    chunks is built once per call: the lane masks and the all-zero and
-    all-one planes of inputs constant over a chunk (each one word of
-    memory, see :func:`_flat`), and the word-index bits whose period
-    divides the chunk size, since chunks start at multiples of it.  Any
-    other plane is built for its chunk only, so memory does not grow
-    with the number of chunks.  No plane may be written to.
+    zeros by bit j = i - 6 of w.  A chunk holds the 2^c words of one
+    ``w >> c``, c = ``_CHUNK_BITS``, so the lane masks and the bits j < c
+    are the same planes in every chunk, and a bit j >= c is the flat
+    plane (:func:`_flat`) of bit j - c of the chunk number.  Every plane
+    is built once per call, and none may be written to.
     """
-    size = min(_ORACLE_WORDS, words)
+    high = max(0, n - 6)
+    bits = min(_CHUNK_BITS, high)
+    size = 1 << bits
     index = np.arange(size, dtype=np.uint64)
-    lanes = [_flat(size, mask) for mask in _LANE_MASKS[:n]]
-    periodic = {
-        j: np.negative(index >> j & 1)
-        for j in range(n - 6)
-        if size % (2 << j) == 0
-    }
-    flat = {}
-    for start in range(0, words, size):
-        count = min(size, words - start)
-        last = start + count - 1
-        planes = lanes[:]
-        for j in range(n - 6):
-            if start >> j == last >> j:
-                bit = start >> j & 1
-                if bit not in flat:
-                    flat[bit] = _flat(size, bit * ((1 << 64) - 1))
-                planes.append(flat[bit])
-            elif j in periodic:
-                planes.append(periodic[j])
-            else:
-                word = np.arange(start, start + count, dtype=np.uint64)
-                planes.append(np.negative(word >> j & 1))
-        yield planes if count == size else [p[:count] for p in planes]
+    low = [_flat(size, mask) for mask in _LANE_MASKS[:n]]
+    low += [np.negative(index >> j & 1) for j in range(bits)]
+    flat = (_flat(size, 0), _flat(size, (1 << 64) - 1))
+    for chunk in range(1 << (high - bits)):
+        yield low + [flat[chunk >> (j - bits) & 1] for j in range(bits, high)]
 
 
 class _Program:
@@ -188,7 +172,7 @@ def enumerate_metrics(f: Circuit, fp: Circuit) -> tuple[int, Fraction, Fraction]
     words = max(1, (1 << n) >> 6)
     program = _Program(f, fp)
     wce = abs_sum = diff_count = 0
-    for planes in _chunk_inputs(n, words):
+    for planes in _chunk_inputs(n):
         # ``outputs`` holds a chunk's output planes until the next chunk's
         # replace them.  Were every plane freed at a chunk's end, the
         # allocator could hand that memory back to the system and the next

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import axbdd.bench as bench_mod
 from axbdd import BenchRecord, CorpusSpec, run_corpus, summarize
 from axbdd.bench import (
     CSV_COLUMNS,
@@ -67,6 +68,19 @@ def test_phase_columns_populated(records):
 
 def test_empty_spec_gives_empty_list():
     assert run_corpus(small_spec(mutants=0)) == []
+
+
+def test_empty_corpus_runs_no_evolution(monkeypatch):
+    calls = []
+    run_search = bench_mod.run_search
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return run_search(*args, **kwargs)
+
+    monkeypatch.setattr(bench_mod, "run_search", spy)
+    assert run_corpus(small_spec(mutants=0, evolve_generations=8)) == []
+    assert calls == []
 
 
 def test_error_rate_metric_records():

@@ -63,7 +63,7 @@ def check_rows(c, table):
     on one full uint64 word (lane k is row k mod 2^n, so all 64 lanes are
     checked), and by the compiled BDD."""
     n = c.input_count
-    ((plane,),) = _Program(c).run(next(_chunk_inputs(n, 1)))
+    ((plane,),) = _Program(c).run(next(_chunk_inputs(n)))
     m = BddManager(n)
     (bit,) = compile_circuit(m, c).bits
     for bits, expected in table.items():
@@ -231,6 +231,11 @@ def test_gate_arity_mismatch():
         (".model t\n.inputs a\n.outputs a\n.end\nx\n", "after .end"),
         (".model t\n.inputs a\n.outputs a\n.signed maybe\n.end\n", ".signed"),
         (".model t\n.inputs a\n.inputs b\n.outputs a\n.end\n", "duplicate .inputs"),
+        (".model a\n.model b\n.inputs a\n.outputs a\n.end\n", "duplicate .model"),
+        (
+            ".model t\n.inputs a\n.outputs a\n.signed true\n.signed false\n.end\n",
+            "duplicate .signed",
+        ),
         (".model t\n.wires a\n.end\n", ".wires"),
         (".model t\n.inputs a\n.outputs nope\n.end\n", "nope"),
     ],
@@ -254,6 +259,18 @@ def test_round_trip_generated_circuits():
             assert parse(emit(c)) == c
             mutant = mutate(c, rng.getrandbits(64), 3)
             assert parse(emit(mutant)) == mutant
+
+
+@pytest.mark.parametrize(
+    "name,wire,bad",
+    [("", "a", ""), ("t", "a b", "a b"), ("t", "a#b", "a#b"), ("t\nu", "a", "t\nu")],
+)
+def test_emit_refuses_a_name_the_text_cannot_hold(name, wire, bad):
+    # Emitted, each would parse back as another circuit or not at all.
+    c = Circuit(name, (wire, "c"), ("o",), (Gate("AND", (wire, "c"), "o"),))
+    with pytest.raises(NetlistError) as exc:
+        emit(c)
+    assert repr(bad) in str(exc.value)
 
 
 def test_circuit_validation_rejects_bad_constructions():
@@ -385,7 +402,7 @@ def test_oracle_lanes_and_words_match_brute_force(n):
         ), case
 
 
-@pytest.mark.parametrize("words", [1, 3])
+@pytest.mark.parametrize("words", [1, 2])
 def test_oracle_chunks_give_the_same_triple(monkeypatch, words):
     rng = random.Random(47)
     pairs = []
@@ -396,8 +413,28 @@ def test_oracle_chunks_give_the_same_triple(monkeypatch, words):
         golden = random_netlist(rng, "golden", inputs, 4, signed)
         pairs.append((golden, random_netlist(rng, "approx", inputs, 4, signed)))
     whole = [oracle_metrics(g, a) for g, a in pairs]
-    monkeypatch.setattr(oracle_mod, "_ORACLE_WORDS", words)
+    monkeypatch.setattr(oracle_mod, "_CHUNK_BITS", words.bit_length() - 1)
     assert [oracle_metrics(g, a) for g, a in pairs] == whole
+
+
+@pytest.mark.parametrize("chunk_bits", [0, 1, 2, 3, None])
+def test_chunk_inputs_are_the_assignment_bits(monkeypatch, chunk_bits):
+    # Concatenated over the chunks, lane k of word w of input i's plane is
+    # bit i of assignment 64 w + k; below 6 inputs the one word repeats
+    # the 2^n rows.
+    if chunk_bits is not None:
+        monkeypatch.setattr(oracle_mod, "_CHUNK_BITS", chunk_bits)
+    for n in range(1, 13):
+        chunks = list(_chunk_inputs(n))
+        assert all(len(planes) == n for planes in chunks)
+        words = max(1, (1 << n) >> 6)
+        for i in range(n):
+            plane = [int(word) for planes in chunks for word in planes[i]]
+            expected = [
+                sum((64 * w + k >> i & 1) << k for k in range(64))
+                for w in range(words)
+            ]
+            assert plane == expected, (n, i)
 
 
 def test_oracle_shares_every_gate_of_a_renamed_copy():
@@ -496,12 +533,12 @@ def test_oracle_builds_each_repeated_input_plane_once(monkeypatch):
     chunks = []
     chunk_inputs = oracle_mod._chunk_inputs
 
-    def spy(n, words):
-        for planes in chunk_inputs(n, words):
+    def spy(n):
+        for planes in chunk_inputs(n):
             chunks.append(planes)
             yield planes
 
-    monkeypatch.setattr(oracle_mod, "_ORACLE_WORDS", 4)
+    monkeypatch.setattr(oracle_mod, "_CHUNK_BITS", 2)
     monkeypatch.setattr(oracle_mod, "_chunk_inputs", spy)
     assert oracle_metrics(golden, approx) == whole
     assert len(chunks) == 256
