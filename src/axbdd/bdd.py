@@ -21,15 +21,15 @@ when it reaches ``cache_capacity`` entries.
 
 A binary operation is coded by its 4-bit truth table, and what it
 degenerates to on a terminal or on equal operands by a 2-bit one.  A
-ternary operation (:meth:`BddManager.apply3`) is coded by its 8-bit
-truth table, and degenerates to a binary code on a terminal or on two
-equal operands, so one recursion covers XOR3, MAJ and ITE with no
-intermediate BDDs.  The ripple cell of :mod:`axbdd.bitvec` needs two
-ternary results of the same operands, a sum and a carry; one recursion
-(:meth:`BddManager._cell`) walks the operands once and builds both.  All
-three kernels share the one operation cache: a binary entry is keyed by
-a 3-tuple, a ternary one by a 4-tuple and a sum-and-carry pair by a
-5-tuple, so no two can collide.
+ternary operation is coded by its 8-bit truth table, and degenerates to
+a binary code on a terminal or on two equal operands, so it covers
+XOR3, MAJ and ITE with no intermediate BDDs.  One ternary recursion
+walks the operands once and builds the results of two tables: the
+ripple cell of :mod:`axbdd.bitvec` (:meth:`BddManager._cell`) takes a
+sum and a carry from it, and :meth:`BddManager.apply3` is the same walk
+with both tables equal.  The binary and ternary kernels share the one
+operation cache: a binary entry is keyed by a 3-tuple and a ternary
+pair by a 5-tuple, so no two can collide.
 
 Model counts are over all of the manager's variables at every node, so
 no count is rescaled by the levels a child skips.  The only pairwise
@@ -175,8 +175,8 @@ class BddManager:
 
     ``cache_capacity`` bounds the operation cache only (the node
     store itself is never evicted): the cache is one dict, shared by
-    the binary, ternary and sum-and-carry kernels and cleared when it
-    reaches ``cache_capacity`` entries, so it never holds more.  By
+    the binary and ternary kernels and cleared when it reaches
+    ``cache_capacity`` entries, so it never holds more.  By
     default it is unbounded and recomputes nothing.  The bound changes
     speed only, never a result.
 
@@ -436,39 +436,16 @@ class BddManager:
             return self._apply(_T3_AC[table], a, b)
         if b == c:
             return self._apply(_T3_BC[table], a, b)
-        key = (table, a, b, c)
-        cache = self._apply_cache
-        r = cache.get(key)
-        if r is not None:
-            return r
-        nodes = self._nodes
-        la, a0, a1 = nodes[a]
-        lb, b0, b1 = nodes[b]
-        lc, c0, c1 = nodes[c]
-        lv = la if la < lb else lb
-        if lc < lv:
-            lv = lc
-        if la != lv:
-            a0 = a1 = a
-        if lb != lv:
-            b0 = b1 = b
-        if lc != lv:
-            c0 = c1 = c
-        r = self._mk(
-            lv, self._apply3(table, a0, b0, c0), self._apply3(table, a1, b1, c1)
-        )
-        if len(cache) >= self._cache_limit:
-            cache.clear()
-        cache[key] = r
-        return r
+        return self._apply3_pair(table, table, a, b, c)[0]
 
     def _apply3_pair(
         self, ts: int, tc: int, a: int, b: int, c: int
     ) -> tuple[int, int]:
-        # _apply3 for two tables at once, one cache entry per triple.
-        # Where _apply3 degenerates to a binary operation, so does this,
-        # through _apply3 for each table.  _mk is written out inline for
-        # both nodes, which measured faster than two calls.
+        # The one ternary recursion: the results of tables ts and tc on
+        # the same operands, one cache entry per triple.  A triple with a
+        # terminal or two equal operands goes to _apply3's binary
+        # dispatch for each table.  _mk is written out inline for both
+        # nodes, which measured faster than two calls.
         if a < 2 or b < 2 or c < 2 or a == b or a == c or b == c:
             apply3 = self._apply3
             return apply3(ts, a, b, c), apply3(tc, a, b, c)

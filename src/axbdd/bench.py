@@ -105,6 +105,8 @@ class CorpusSpec:
             for v in values:  # by type too: 8.0 and True are not bit widths
                 if type(v) is not type(options[0]) or v not in options:
                     raise ValueError(f"{key} entry {v!r} is not in {options}")
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if type(self.warmup) is not bool:
             raise ValueError(f"warmup must be true or false, got {self.warmup!r}")
         for key, least in (("mutants", 0), ("edits", 1), ("evolve_generations", 0)):

@@ -242,6 +242,16 @@ def _non_negative_int(text: str) -> int:
     return _int_at_least(text, 0, "non-negative")
 
 
+def _seconds(text: str) -> float:
+    try:
+        value = float(text)
+        if metrics._finite_non_negative(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("must be a finite number >= 0")
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -323,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget", type=_positive_int, default=10_000, help="evaluation budget"
     )
-    p.add_argument("--time-budget", type=float, help="optional wall-clock cap [s]")
+    p.add_argument("--time-budget", type=_seconds, help="optional wall-clock cap [s]")
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--out", help="best netlist (default: stdout)")
     p.add_argument("--log", help="JSON-lines generation log")

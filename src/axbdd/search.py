@@ -44,9 +44,10 @@ class SearchConfig:
     """Knobs of one search run.
 
     ``threshold`` is a finite number >= 0: an integer for WCE and a
-    rational for MAE.  ``offspring`` and ``edits`` are integers >= 1.  At
-    least one of ``max_generations`` (an integer >= 0) / ``max_seconds``
-    (a finite number >= 0) must be set; whichever trips first ends the run.
+    rational for MAE.  ``offspring`` and ``edits`` are integers >= 1, and
+    ``seed`` is an integer.  At least one of ``max_generations`` (an
+    integer >= 0) / ``max_seconds`` (a finite number >= 0) must be set;
+    whichever trips first ends the run.
     """
 
     metric: str = metrics.WCE
@@ -76,6 +77,8 @@ class SearchConfig:
             raise ValueError("max_generations must be None or an integer >= 0")
         if secs is not None and not metrics._finite_non_negative(secs):
             raise ValueError("max_seconds must be None or a finite number >= 0")
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 @dataclass

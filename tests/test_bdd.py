@@ -275,18 +275,27 @@ def test_apply3_bounded_cache_changes_nothing_but_speed():
 
 @pytest.mark.parametrize("capacity", [None, 1])
 def test_cell_is_apply3_of_each_table(capacity):
+    # apply3 runs the same walk as _cell, so each half is checked against
+    # its table on every assignment.
     rng = random.Random(41)
     m = BddManager(6, cache_capacity=capacity)
     pool = [node for node, _ in random_formula_pool(m, rng, extra=60)]
     pool += [m.false, m.true]
+    assignments = list(all_assignments(m.var_count))
+
+    def values(node):
+        return [m.evaluate(node, bits) for bits in assignments]
+
     tables = [(0x96, 0xE8), (0x69, 0xB2), (0xE8, 0x96), (0xB2, 0x69)]
     tables += [(rng.randrange(256), rng.randrange(256)) for _ in range(60)]
     for ts, tc in tables:
         for _ in range(20):
             a, b, c = (rng.choice(pool) for _ in range(3))
+            rows = [4 * va + 2 * vb + vc
+                    for va, vb, vc in zip(values(a), values(b), values(c))]
             s, carry = m._cell(ts, tc, a, b, c)
-            assert s is m.apply3(ts, a, b, c), (ts, a, b, c)
-            assert carry is m.apply3(tc, a, b, c), (tc, a, b, c)
+            assert values(s) == [bool(ts >> r & 1) for r in rows], (ts, a, b, c)
+            assert values(carry) == [bool(tc >> r & 1) for r in rows], (tc, a, b, c)
         if capacity is not None:
             assert len(m._apply_cache) <= capacity
 
@@ -294,16 +303,19 @@ def test_cell_is_apply3_of_each_table(capacity):
 def test_ternary_and_binary_entries_share_one_cache():
     m = BddManager(3)
     x, y, z = m.var(0), m.var(1), m.var(2)
-    # The top call is a 4-tuple entry, the binary residuals below it 3-tuples.
-    m.apply3(0xE8, x, y, z)
-    assert (0xE8, x.index, y.index, z.index) in m._apply_cache
-    assert {len(key) for key in m._apply_cache} == {3, 4}
-    # A sum-and-carry pair is one 5-tuple entry beside them.
+    # apply3 is the sum-and-carry walk with both tables equal: the top
+    # call is a 5-tuple entry, the binary residuals below it 3-tuples.
+    majority = m.apply3(0xE8, x, y, z)
+    assert m._apply_cache[(0xE8, 0xE8, x.index, y.index, z.index)] == (
+        majority.index, majority.index
+    )
+    assert {len(key) for key in m._apply_cache} == {3, 5}
+    # A sum-and-carry pair is one more 5-tuple entry beside them.
     s, carry = m._cell(0x96, 0xE8, x, y, z)
     assert m._apply_cache[(0x96, 0xE8, x.index, y.index, z.index)] == (
         s.index, carry.index
     )
-    assert {len(key) for key in m._apply_cache} == {3, 4, 5}
+    assert {len(key) for key in m._apply_cache} == {3, 5}
     m.clear_caches()
     assert m._apply_cache == {}
 

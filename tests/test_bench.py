@@ -259,6 +259,10 @@ def test_spec_validation():
         for shape in (None, 16, "rca", {"rca": 1}):
             with pytest.raises(ValueError, match=key):
                 CorpusSpec.from_dict({key: shape})
+    # A seed names one corpus: "13" would be a second name for 13.
+    for seed in (None, "13", 1.5, True):
+        with pytest.raises(ValueError, match="seed"):
+            CorpusSpec.from_dict({"seed": seed})
     for warmup in ("no", 0, 1, None):
         with pytest.raises(ValueError, match="warmup"):
             CorpusSpec.from_dict({"warmup": warmup})

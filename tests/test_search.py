@@ -149,6 +149,10 @@ def test_config_validation():
             with pytest.raises(ValueError, match=field):
                 SearchConfig(metric="wce", threshold=0, max_generations=1,
                              **{field: count})
+    # seed=None would seed from OS entropy, so the run would not repeat.
+    for seed in (None, 1.5, "13", True):
+        with pytest.raises(ValueError, match="seed"):
+            SearchConfig(metric="wce", threshold=0, max_generations=1, seed=seed)
     SearchConfig(metric="mae", threshold=Fraction(1, 3), max_generations=1)
     SearchConfig(metric="wce", threshold=0, max_generations=0, max_seconds=0)
 
