@@ -154,9 +154,11 @@ def gen_adder(kind: str, bits: int, signed: bool = False) -> Circuit:
     """Exact two-operand adder: 2*bits inputs, bits+1 outputs, LSB first."""
     if kind not in _GENERATORS:
         raise ValueError(f"unknown adder kind {kind!r}; expected one of {ADDER_KINDS}")
-    if not 1 <= bits <= 32:
-        raise ValueError("operand width must be between 1 and 32 bits")
-    return _GENERATORS[kind](bits, bool(signed))
+    if type(bits) is not int or not 1 <= bits <= 32:
+        raise ValueError(f"operand width {bits!r} is not an int in 1..32")
+    if type(signed) is not bool:
+        raise ValueError(f"signed must be a bool, got {signed!r}")
+    return _GENERATORS[kind](bits, signed)
 
 
 def mutate(circuit: Circuit, seed: int, edits: int) -> Circuit:
@@ -166,8 +168,10 @@ def mutate(circuit: Circuit, seed: int, edits: int) -> Circuit:
     input to a random earlier wire, or collapses it to a constant.
     Deterministic for a given seed.
     """
-    if edits < 1:
-        raise ValueError("edits must be >= 1")
+    if type(edits) is not int or edits < 1:
+        raise ValueError(f"edits must be an int >= 1, got {edits!r}")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     if not circuit.gates:
         raise ValueError(f"circuit {circuit.name!r} has no gates to mutate")
     rng = random.Random(seed)

@@ -21,15 +21,15 @@ when it reaches ``cache_capacity`` entries.
 
 A binary operation is coded by its 4-bit truth table, and what it
 degenerates to on a terminal or on equal operands by a 2-bit one.  A
-ternary operation is coded by its 8-bit truth table, and degenerates to
-a binary code on a terminal or on two equal operands, so it covers
-XOR3, MAJ and ITE with no intermediate BDDs.  One ternary recursion
-walks the operands once and builds the results of two tables: the
-ripple cell of :mod:`axbdd.bitvec` (:meth:`BddManager._cell`) takes a
-sum and a carry from it, and :meth:`BddManager.apply3` is the same walk
-with both tables equal.  The binary and ternary kernels share the one
-operation cache: a binary entry is keyed by a 3-tuple and a ternary
-pair by a 5-tuple, so no two can collide.
+ternary operation is coded by its 8-bit truth table, so it covers XOR3,
+MAJ and ITE with no intermediate BDDs.  One ternary recursion walks the
+operands once, down to the leaves, and builds the results of two
+tables: the ripple cell of :mod:`axbdd.bitvec`
+(:meth:`BddManager._cell`) takes a sum and a carry from it, and
+:meth:`BddManager.apply3` is the same walk with both tables equal.  It
+calls nothing of the binary kernel, and only the operation cache is
+shared: a binary entry is keyed by a 3-tuple and a ternary pair by a
+5-tuple, so no two can collide.
 
 Model counts are over all of the manager's variables at every node, so
 no count is rescaled by the levels a child skips.  The only pairwise
@@ -91,20 +91,6 @@ def _bits(table: int, *positions: int) -> int:
 _LEFT = [(_bits(op, 0, 1), _bits(op, 2, 3)) for op in range(16)]
 _RIGHT = [(_bits(op, 0, 2), _bits(op, 1, 3)) for op in range(16)]
 _DIAG = [_bits(op, 0, 3) for op in range(16)]
-
-# A ternary operation is coded by its 8-bit truth table: bit
-# ``4*a + 2*b + c`` is op(a, b, c).  On a terminal operand, or two equal
-# ones, it degenerates to a binary operation of the other two, coded as
-# above: _T3_A[t][v] is the code of op(v, x, y) for terminal v,
-# _T3_B[t][v] that of op(x, v, y), _T3_C[t][v] that of op(x, y, v), and
-# _T3_AB[t], _T3_AC[t], _T3_BC[t] those of op(x, x, y), op(x, y, x) and
-# op(x, y, y).
-_T3_A = [(t & 15, t >> 4) for t in range(256)]
-_T3_B = [(_bits(t, 0, 1, 4, 5), _bits(t, 2, 3, 6, 7)) for t in range(256)]
-_T3_C = [(_bits(t, 0, 2, 4, 6), _bits(t, 1, 3, 5, 7)) for t in range(256)]
-_T3_AB = [_bits(t, 0, 1, 6, 7) for t in range(256)]
-_T3_AC = [_bits(t, 0, 2, 5, 7) for t in range(256)]
-_T3_BC = [_bits(t, 0, 3, 4, 7) for t in range(256)]
 
 
 def _depth_guarded(method):
@@ -217,10 +203,9 @@ class BddManager:
 
     def var(self, index: int) -> NodeRef:
         """The projection function of variable ``index``."""
-        if not 0 <= index < self.var_count:
+        if type(index) is not int or not 0 <= index < self.var_count:
             raise BddError(
-                f"variable index {index} out of range "
-                f"(manager has {self.var_count} variables)"
+                f"variable index {index!r} is not an int in range({self.var_count})"
             )
         return self._ref(self._mk(index, 0, 1))
 
@@ -247,9 +232,10 @@ class BddManager:
         """
         if type(table) is not int or not 0 <= table <= 255:
             raise BddError(f"ternary truth table {table!r} is not an int in 0..255")
-        return self._ref(
-            self._apply3(table, self._unwrap(a), self._unwrap(b), self._unwrap(c))
+        s, _ = self._apply3_pair(
+            table, table, self._unwrap(a), self._unwrap(b), self._unwrap(c)
         )
+        return self._ref(s)
 
     @_depth_guarded
     def _cell(
@@ -423,32 +409,19 @@ class BddManager:
         cache[key] = r
         return r
 
-    def _apply3(self, table: int, a: int, b: int, c: int) -> int:
-        if a < 2:
-            return self._apply(_T3_A[table][a], b, c)
-        if b < 2:
-            return self._apply(_T3_B[table][b], a, c)
-        if c < 2:
-            return self._apply(_T3_C[table][c], a, b)
-        if a == b:
-            return self._apply(_T3_AB[table], a, c)
-        if a == c:
-            return self._apply(_T3_AC[table], a, b)
-        if b == c:
-            return self._apply(_T3_BC[table], a, b)
-        return self._apply3_pair(table, table, a, b, c)[0]
-
     def _apply3_pair(
         self, ts: int, tc: int, a: int, b: int, c: int
     ) -> tuple[int, int]:
         # The one ternary recursion: the results of tables ts and tc on
-        # the same operands, one cache entry per triple.  A triple with a
-        # terminal or two equal operands goes to _apply3's binary
-        # dispatch for each table.  _mk is written out inline for both
-        # nodes, which measured faster than two calls.
-        if a < 2 or b < 2 or c < 2 or a == b or a == c or b == c:
-            apply3 = self._apply3
-            return apply3(ts, a, b, c), apply3(tc, a, b, c)
+        # the same operands, one cache entry per triple.  It splits on the
+        # top level until all three operands are terminals, whose row
+        # 4a + 2b + c it reads off both tables; a terminal sits at the
+        # leaf level below every variable, so a split leaves it as its
+        # own cofactor.  _mk is written out inline for both nodes, which
+        # measured faster than two calls.
+        if a < 2 and b < 2 and c < 2:
+            row = 4 * a + 2 * b + c
+            return ts >> row & 1, tc >> row & 1
         key = (ts, tc, a, b, c)
         cache = self._apply_cache
         r = cache.get(key)

@@ -79,12 +79,18 @@ def test_width_validation():
         gen_adder("rca", 33, False)
     with pytest.raises(ValueError):
         gen_adder("csa", 8, False)
+    for bits, signed in ((True, False), (4.0, False), ("4", False),
+                         (4, "false"), (4, 1), (4, None)):
+        with pytest.raises(ValueError):
+            gen_adder("rca", bits, signed)
 
 
 def test_mutate_requires_edits():
     c = gen_adder("rca", 4, False)
-    with pytest.raises(ValueError):
-        mutate(c, 1, 0)
+    for seed, edits in ((1, 0), (1, 2.0), (1, True), (None, 2), (1.0, 2),
+                        (True, 2), ("1", 2)):
+        with pytest.raises(ValueError):
+            mutate(c, seed, edits)
 
 
 def test_mutate_names_a_circuit_without_gates():

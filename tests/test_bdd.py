@@ -71,8 +71,9 @@ def test_var_index_out_of_range():
     m = BddManager(2)
     with pytest.raises(BddError):
         m.var(2)
-    with pytest.raises(BddError):
-        m.var(-1)
+    for index in (-1, 1.5, True, "0"):
+        with pytest.raises(BddError):
+            m.var(index)
 
 
 def test_apply_identities():
@@ -303,21 +304,58 @@ def test_cell_is_apply3_of_each_table(capacity):
 def test_ternary_and_binary_entries_share_one_cache():
     m = BddManager(3)
     x, y, z = m.var(0), m.var(1), m.var(2)
-    # apply3 is the sum-and-carry walk with both tables equal: the top
-    # call is a 5-tuple entry, the binary residuals below it 3-tuples.
+    # apply3 is the sum-and-carry walk with both tables equal, walked to
+    # the leaves: every entry it makes is a 5-tuple.
     majority = m.apply3(0xE8, x, y, z)
     assert m._apply_cache[(0xE8, 0xE8, x.index, y.index, z.index)] == (
         majority.index, majority.index
     )
-    assert {len(key) for key in m._apply_cache} == {3, 5}
-    # A sum-and-carry pair is one more 5-tuple entry beside them.
+    assert {len(key) for key in m._apply_cache} == {5}
+    # A sum-and-carry pair is one more 5-tuple entry beside it, and a
+    # binary operation a 3-tuple entry in the same dict.
     s, carry = m._cell(0x96, 0xE8, x, y, z)
     assert m._apply_cache[(0x96, 0xE8, x.index, y.index, z.index)] == (
         s.index, carry.index
     )
+    both = m.apply("and", x, y)
+    assert m._apply_cache[(_OP_CODES["and"], x.index, y.index)] == both.index
     assert {len(key) for key in m._apply_cache} == {3, 5}
     m.clear_caches()
     assert m._apply_cache == {}
+
+
+@pytest.mark.parametrize("capacity", [None, 1, 16])
+def test_cell_adds_only_the_nodes_its_results_reach(capacity):
+    # Every node the ternary walk makes is a cofactor of one of its two
+    # results, so it adds exactly the nodes reachable from them that were
+    # not stored before, whatever the cache bound and whether or not an
+    # operand is a terminal or two operands are equal.
+    rng = random.Random(43)
+    m = BddManager(7, cache_capacity=capacity)
+    pool = [node for node, _ in random_formula_pool(m, rng, extra=60)]
+    terminals = [m.false, m.true]
+
+    def reachable(*roots):
+        seen, stack = set(), [root.index for root in roots]
+        while stack:
+            u = stack.pop()
+            if u > 1 and u not in seen:
+                seen.add(u)
+                stack += m._nodes[u][1:]
+        return seen
+
+    for i in range(300):
+        a, b, c = (rng.choice(pool) for _ in range(3))
+        shape = i % 5
+        if shape < 3:
+            a, b, c = [rng.choice(terminals) if k == shape else node
+                       for k, node in enumerate((a, b, c))]
+        elif shape == 3:
+            a, b, c = rng.choice([(a, a, c), (a, b, a), (a, b, b)])
+        stored = len(m._nodes)
+        s, carry = m._cell(rng.randrange(256), rng.randrange(256), a, b, c)
+        added = set(range(stored, len(m._nodes)))
+        assert added == {u for u in reachable(s, carry) if u >= stored}
 
 
 def test_build_runs_a_program_on_node_ints():
