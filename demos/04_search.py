@@ -1,9 +1,11 @@
 """Threshold-constrained approximation search.
 
-A (1+lambda) loop mutates the current parent, scores every candidate
-exactly against the original seed, and keeps the smallest circuit whose
-error stays within the bound.  Fitness is the active gate count when
-the bound holds, infinity otherwise.
+A (1+lambda) loop mutates the current parent and keeps the smallest
+circuit whose error, scored exactly against the original seed, stays
+within the bound.  A candidate's gate count is read first, and only one
+that could win (no larger than the parent, smaller than any sibling
+already within the bound) is scored, so the log counts evaluations,
+scored candidates and rejected ones apart.
 """
 
 from axbdd import SearchConfig, gen_adder, oracle_metrics, run_search
@@ -22,8 +24,9 @@ cfg = SearchConfig(
 )
 best, history = run_search(seed, cfg)
 
-print(f"best: {best.active_gate_count()} active gates "
-      f"after {history[-1].evals} evaluations")
+last = history[-1]
+print(f"best: {best.active_gate_count()} active gates after {last.evals} "
+      f"evaluations ({last.scored} scored, {last.rejected} over the bound)")
 wce, mae, rate = oracle_metrics(seed, best)
 print(f"oracle check of the result: wce={wce} (bound {cfg.threshold}), "
       f"mae={float(mae):.3f}, error rate={float(rate):.3f}")

@@ -218,7 +218,7 @@ def cmd_search(args) -> int:
     print(
         f"best: {last.best_size} active gates (seed "
         f"{seed_circuit.active_gate_count()}), {args.metric} = {err}, "
-        f"{last.evals} evaluations",
+        f"{last.evals} evaluations ({last.scored} scored, {last.rejected} rejected)",
         file=sys.stderr,
     )
     return EXIT_OK

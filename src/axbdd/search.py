@@ -1,14 +1,17 @@
 """Threshold-constrained (1+lambda) approximation search.
 
 Starting from an exact seed circuit, each generation mutates the
-current parent, scores every candidate with an exact BDD error metric
-against the original seed, and keeps the smallest candidate whose error
-stays within the threshold.  Candidates over the threshold get infinite
-fitness; offspring win ties with the parent so the search can drift
-across equal-size plateaus.  A candidate is scored with the threshold
-as the metric's ``limit``, so one over it is rejected as soon as that
-is proven, without its exact error being computed.  A candidate within
-the threshold still gets its exact error, so the run is unchanged.
+current parent and keeps the smallest candidate whose error, scored
+with an exact BDD error metric against the original seed, stays within
+the threshold.  Offspring win ties with the parent so the search can
+drift across equal-size plateaus.  A candidate's gate count is known
+before any BDD is built, so only one that could win is scored: one
+larger than its parent, or no smaller than an earlier sibling within
+the threshold, is counted and skipped, which changes no decision.  A
+candidate is scored with the threshold as the metric's ``limit``, so one
+over it is rejected as soon as that is proven, without its exact error
+being computed.  A candidate within the threshold still gets its exact
+error, so the run is unchanged.
 
 All candidates share one BDD manager, so a candidate reuses the nodes
 and cache entries of the ones before it.  The node store only grows,
@@ -83,13 +86,19 @@ class SearchConfig:
 
 @dataclass
 class GenerationRecord:
-    """One JSON-lines log entry; error stored as numerator / 2^exponent."""
+    """One JSON-lines log entry; error stored as numerator / 2^exponent.
+
+    ``evals`` counts every candidate so far, ``scored`` those whose error
+    was computed, and ``rejected`` the scored ones over the threshold.
+    """
 
     generation: int
     best_size: int
     best_error_numerator: int
     best_error_denominator_exp: int
     evals: int
+    scored: int
+    rejected: int
     elapsed_ns: int
 
 
@@ -118,6 +127,8 @@ def run_search(
     seed's interface (else ``InterfaceMismatchError``).  Deterministic
     for a given config seed (timings aside).
 
+    A candidate is scored only if its gate count could make it the
+    generation's winner, so ``evals`` counts candidates, not scores.
     Memory stays bounded however long the search runs: once the shared
     manager holds more than ``NODE_LIMIT`` nodes, the next candidate is
     scored on a fresh one with the golden circuit recompiled, which
@@ -153,7 +164,7 @@ def run_search(
         parent_error = score(parent)
         if parent_error is None:
             raise ValueError("start_from circuit violates the threshold")
-    evals = generation = 0
+    evals = scored = rejected = generation = 0
 
     def record(elapsed_ns: int) -> GenerationRecord:
         return GenerationRecord(
@@ -161,6 +172,8 @@ def run_search(
             parent_fitness,
             *metrics.exact_fields(parent_error, seed_circuit.input_count),
             evals,
+            scored,
+            rejected,
             elapsed_ns,
         )
 
@@ -180,15 +193,21 @@ def run_search(
         best_child_error = zero
         for _ in range(cfg.offspring):
             child = mutate(parent, rng.getrandbits(64), cfg.edits)
-            error = score(child)
             evals += 1
-            fitness = child.active_gate_count() if error is not None else math.inf
-            if fitness < best_child_fitness:
-                best_child = child
-                best_child_fitness = fitness
-                best_child_error = error
-        # A child over the threshold has infinite fitness and is never kept.
-        if best_child_fitness <= parent_fitness:
+            # A child larger than its parent, or no smaller than a sibling
+            # already within the threshold, is never kept: skip its score.
+            fitness = child.active_gate_count()
+            if fitness > parent_fitness or fitness >= best_child_fitness:
+                continue
+            error = score(child)
+            scored += 1
+            if error is None:
+                rejected += 1
+                continue
+            best_child = child
+            best_child_fitness = fitness
+            best_child_error = error
+        if best_child is not None:
             parent = best_child
             parent_fitness = best_child_fitness
             parent_error = best_child_error

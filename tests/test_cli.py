@@ -370,6 +370,26 @@ def test_search_deterministic_outputs(tmp_path, capsys):
     assert one_run("a") == one_run("b")
 
 
+def test_search_summary_reports_the_logged_counts(tmp_path, capsys):
+    seed_file = tmp_path / "seed.net"
+    seed_file.write_text(emit(gen_adder("rca", 6, False)))
+    log = tmp_path / "log.jsonl"
+    code = run_cli(
+        ["search", "--seed-circuit", str(seed_file), "--metric", "wce",
+         "--tau-range", "1/5", "--budget", "200", "--rng-seed", "1",
+         "--out", str(tmp_path / "best.net"), "--log", str(log)]
+    )
+    assert code == 0
+    last = json.loads(log.read_text().splitlines()[-1])
+    # Some candidates are skipped and some scored ones are over tau.
+    assert last["evals"] > last["scored"] > last["rejected"] > 0
+    summary = capsys.readouterr().err.strip().splitlines()[-1]
+    assert summary.endswith(
+        f"{last['evals']} evaluations ({last['scored']} scored, "
+        f"{last['rejected']} rejected)"
+    )
+
+
 @pytest.mark.parametrize("command", ["verify", "eval"])
 def test_negative_max_oracle_bits_is_a_usage_error(pair, capsys, command):
     golden, approx = pair

@@ -1,12 +1,14 @@
 import dataclasses
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from axbdd import InterfaceMismatchError
-from axbdd import SearchConfig, gen_adder, oracle_metrics, range_threshold, run_search
-from axbdd import search
+from axbdd import SearchConfig, gen_adder, mutate, oracle_metrics, range_threshold, run_search
+from axbdd import metrics, search
 from axbdd.search import write_history
 
 
@@ -87,7 +89,8 @@ def test_zero_seconds_stops_after_generation_zero():
     assert best == seed
     assert strip_timing(history) == [
         {"generation": 0, "best_size": seed.active_gate_count(),
-         "best_error_numerator": 0, "best_error_denominator_exp": 0, "evals": 0}
+         "best_error_numerator": 0, "best_error_denominator_exp": 0, "evals": 0,
+         "scored": 0, "rejected": 0}
     ]
 
 
@@ -186,6 +189,8 @@ def test_write_history_json_lines(tmp_path):
         "best_error_numerator",
         "best_error_denominator_exp",
         "evals",
+        "scored",
+        "rejected",
         "elapsed_ns",
     }
 
@@ -286,3 +291,117 @@ def test_limit_keeps_the_trajectory(cfg, resume, node_limit, monkeypatch):
     expected_best, expected = run_search(seed, cfg, start_from=start)
     assert best == expected_best
     assert strip_timing(history) == strip_timing(expected)
+
+
+def all_scoring_search(seed_circuit, cfg, start_from=None):
+    """The (1+lambda) loop that scores every candidate, by the oracle.
+
+    Returns the best circuit and each generation's record without its
+    ``elapsed_ns``, ``scored`` and ``rejected``, the fields that depend on
+    which candidates are scored or on time.
+    """
+    def error(candidate):
+        wce, mae, _ = oracle_metrics(seed_circuit, candidate)
+        value = wce if cfg.metric == "wce" else mae
+        return value if value <= cfg.threshold else None
+
+    rng = random.Random(cfg.seed)
+    parent = start_from if start_from is not None else seed_circuit
+    parent_error = error(parent) if start_from is not None else 0
+    if cfg.metric == "mae":
+        parent_error = Fraction(parent_error)
+    evals = 0
+    history = []
+    for generation in range(cfg.max_generations + 1):
+        if generation:
+            best_child, best_fitness = None, math.inf
+            for _ in range(cfg.offspring):
+                child = mutate(parent, rng.getrandbits(64), cfg.edits)
+                child_error = error(child)
+                evals += 1
+                fitness = child.active_gate_count() if child_error is not None else math.inf
+                if fitness < best_fitness:
+                    best_child, best_fitness, best_error = child, fitness, child_error
+            if best_fitness <= parent.active_gate_count():
+                parent, parent_error = best_child, best_error
+        numerator, exponent = metrics.exact_fields(parent_error, seed_circuit.input_count)
+        history.append({
+            "generation": generation,
+            "best_size": parent.active_gate_count(),
+            "best_error_numerator": numerator,
+            "best_error_denominator_exp": exponent,
+            "evals": evals,
+        })
+    return parent, history
+
+
+@pytest.mark.parametrize(
+    "cfg, resume, node_limit",
+    [limited_case(metric, algorithm)
+     for metric in ("wce", "mae") for algorithm in ("baseline", "ones", "noabs")]
+    + [limited_case("wce", "noabs", resume=True),
+       limited_case("mae", "ones", resume=True),
+       limited_case("wce", "noabs", node_limit=300),
+       limited_case("mae", "baseline", node_limit=300)],
+)
+def test_search_scores_exactly_the_candidates_that_can_win(
+        cfg, resume, node_limit, monkeypatch):
+    seed = gen_adder("rca", 5, False)
+    start = None
+    if resume:
+        start, _ = run_search(seed, SearchConfig(metric=cfg.metric, threshold=cfg.threshold,
+                                                 max_generations=40, seed=2))
+    expected_best, expected = all_scoring_search(seed, cfg, start_from=start)
+
+    # Record each candidate as mutate makes it, each circuit as it is
+    # compiled, and whether each score, of the circuit compiled just
+    # before it, came out over the threshold.
+    children, compiled, over = [], [], {}
+    real_mutate, real_compile, real_compute = (
+        search.mutate, search.compile_circuit, search.metrics.compute)
+
+    def recording_mutate(parent, *args):
+        child = real_mutate(parent, *args)
+        children.append((parent.active_gate_count(), child))
+        return child
+
+    def recording_compile(manager, circuit):
+        compiled.append(circuit)
+        return real_compile(manager, circuit)
+
+    def recording_compute(*args, **kwargs):
+        result = real_compute(*args, **kwargs)
+        over[id(compiled[-1])] = result is None or result.value > cfg.threshold
+        return result
+
+    monkeypatch.setattr(search, "mutate", recording_mutate)
+    monkeypatch.setattr(search, "compile_circuit", recording_compile)
+    monkeypatch.setattr(search.metrics, "compute", recording_compute)
+    if node_limit is not None:
+        monkeypatch.setattr(search, "NODE_LIMIT", node_limit)
+    best, history = run_search(seed, cfg, start_from=start)
+
+    assert best == expected_best
+    assert [{k: v for k, v in r.items() if k not in ("scored", "rejected")}
+            for r in strip_timing(history)] == expected
+    if node_limit is not None:
+        assert sum(c is seed for c in compiled) > 1  # the golden was recompiled
+
+    # A child is scored exactly when its gate count could still win: no
+    # larger than its parent and smaller than every earlier sibling that
+    # came out within the threshold.
+    assert len(children) == history[-1].evals
+    rejected = 0
+    for first in range(0, len(children), cfg.offspring):
+        best_within = math.inf
+        for parent_size, child in children[first:first + cfg.offspring]:
+            size = child.active_gate_count()
+            can_win = size <= parent_size and size < best_within
+            assert (id(child) in over) == can_win
+            if can_win:
+                rejected += over[id(child)]
+                if not over[id(child)]:
+                    best_within = size
+    scored = len(over) - (start is not None)
+    assert (history[-1].scored, history[-1].rejected) == (scored, rejected)
+    assert 0 < rejected < scored < len(children)
