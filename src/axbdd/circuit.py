@@ -153,17 +153,18 @@ class Circuit:
         return len(self.gates)
 
     def active_gate_count(self) -> int:
-        """Gates lying on some path to an output."""
-        produced = {g.out: g for g in self.gates}
-        live = set()
-        stack = [w for w in self.outputs if w in produced]
-        while stack:
-            w = stack.pop()
-            if w in live:
-                continue
-            live.add(w)
-            stack.extend(v for v in produced[w].inputs if v in produced)
-        return len(live)
+        """Gates lying on some path to an output.
+
+        Gates are in topological order, so one scan from the last gate
+        back sees every reader of a wire before the gate that drives it.
+        """
+        live = set(self.outputs)
+        count = 0
+        for g in reversed(self.gates):
+            if g.out in live:
+                count += 1
+                live.update(g.inputs)
+        return count
 
 
 def parse(text: str) -> Circuit:
@@ -244,9 +245,11 @@ def parse_file(path) -> Circuit:
 def emit(c: Circuit) -> str:
     """Netlist source for a circuit; ``parse(emit(c)) == c``, so a model or
     wire name that is not one token without ``#`` raises NetlistError."""
-    for name in (c.name, *c.inputs, *(g.out for g in c.gates)):
-        if "#" in name or name.split() != [name]:
-            raise NetlistError(f"name {name!r} is not one token without '#'")
+    names = [c.name, *c.inputs, *(g.out for g in c.gates)]
+    text = " ".join(names)
+    if "#" in text or text.split() != names:
+        name = next(n for n in names if "#" in n or n.split() != [n])
+        raise NetlistError(f"name {name!r} is not one token without '#'")
     lines = [
         f".model {c.name}",
         ".inputs " + " ".join(c.inputs),
@@ -312,9 +315,12 @@ def oracle_metrics(
 
     Raises :class:`InterfaceMismatchError` for circuits that do not share
     an interface, and :class:`OracleLimitError` for input counts above
-    ``limit``, since enumeration time doubles per extra input.  A refused
-    call does not load numpy.
+    ``limit``, since enumeration time doubles per extra input, and
+    :class:`ValueError` for a ``limit`` that is not an int >= 0.  A
+    refused call does not load numpy.
     """
+    if type(limit) is not int or limit < 0:
+        raise ValueError(f"limit must be an int >= 0, got {limit!r}")
     check_interface(f, fp)
     n = f.input_count
     if n > limit:

@@ -2,8 +2,13 @@
 
 Every wire is a bit plane, a numpy ``uint64`` array that packs 64 input
 assignments into each word, and the assignments are enumerated in
-chunks of 2^``_CHUNK_BITS`` words (:func:`_chunk_inputs`).  Both
-circuits compile into one straight-line program over slots,
+chunks of 2^``_CHUNK_BITS`` words (:func:`_chunk_inputs`).  A chunk's
+planes have one axis per bit of the word index, and an input plane has
+length 2 only on its own axis, so numpy broadcasting gives each wire
+words only along the inputs it depends on: sum bit i of a ripple-carry
+adder holds 2^max(0, 2i - 4) words, up to the chunk's 2^``_CHUNK_BITS``,
+and :func:`_popcount` counts each word it holds once for every chunk
+word it stands for.  Both circuits compile into one straight-line program over slots,
 :class:`_Program`, which runs the gate table
 :data:`axbdd.circuit.GATES`: a gate equal by operation and operand
 slots to an earlier one is evaluated once, and each plane is dropped
@@ -27,19 +32,17 @@ import numpy as np
 from .circuit import GATES, Circuit
 
 #: log2 of the words per chunk, so that chunks are powers of two like the
-#: whole enumeration and tile it: 2^13 words, 2^19 assignments.  A plane is
-#: then 64 KB, closer to the CPU caches than at 2^14 words, which measured
-#: slower at 20 and 24 inputs.
-_CHUNK_BITS = 13
+#: whole enumeration and tile it: 2^14 words, 2^20 assignments, so a
+#: 20-input pair is one chunk and a plane that spans every word is 128 KB.
+#: Per pair of 4-edit adder mutants on a 2-core box, 2^14 ran no slower
+#: than 2^13 at any width: 2.3-4.3 against 2.5-4.8 ms at 20 inputs,
+#: 29-39 against 34-54 ms at 24, 0.49-0.52 against 0.57-0.61 s at 28 and
+#: 9.3-10.6 against 11.5 s at 32.
+_CHUNK_BITS = 14
 
 #: Plane of input i < 6 in every word: lane k holds bit i of k, which
 #: gives 0xAAAA..., 0xCCCC..., 0xF0F0..., ..., 0xFFFFFFFF00000000.
 _LANE_MASKS = tuple(sum(1 << k for k in range(64) if k >> i & 1) for i in range(6))
-
-
-def _flat(size: int, word: int) -> np.ndarray:
-    """A read-only plane of ``size`` copies of one word, in one word of memory."""
-    return np.broadcast_to(np.uint64(word), size)
 
 
 def _chunk_inputs(n: int):
@@ -48,18 +51,25 @@ def _chunk_inputs(n: int):
     Lane k of word w is assignment 64 w + k, and input i is its bit i:
     inputs 0-5 are the lane masks, and input i >= 6 is all ones or all
     zeros by bit j = i - 6 of w.  A chunk holds the 2^c words of one
-    ``w >> c``, c = ``_CHUNK_BITS``, so the lane masks and the bits j < c
-    are the same planes in every chunk, and a bit j >= c is the flat
-    plane (:func:`_flat`) of bit j - c of the chunk number.  Every plane
-    is built once per call, and none may be written to.
+    ``w >> c``, c = ``_CHUNK_BITS``, as an array with one axis per bit of
+    the word index, bit j on axis c - 1 - j, so that a plane broadcast to
+    shape ``(2,) * c`` lists the words in order.  Input 6 + j, j < c, is
+    ``[0, ~0]`` along its axis and has length 1 on the others; a lane
+    mask, and a bit j >= c, which is bit j - c of the chunk number, is
+    one word of shape ``(1,) * c``.  A gate's plane then has length 2 only
+    on the axes of the inputs it depends on.  Every plane is built once
+    per call, and none may be written to.
     """
     high = max(0, n - 6)
     bits = min(_CHUNK_BITS, high)
-    size = 1 << bits
-    index = np.arange(size, dtype=np.uint64)
-    low = [_flat(size, mask) for mask in _LANE_MASKS[:n]]
-    low += [np.negative(index >> j & 1) for j in range(bits)]
-    flat = (_flat(size, 0), _flat(size, (1 << 64) - 1))
+    unit = (1,) * bits
+    ones = (1 << 64) - 1
+    low = [np.full(unit, mask, np.uint64) for mask in _LANE_MASKS[:n]]
+    low += [
+        np.array([0, ones], np.uint64).reshape(unit[j + 1:] + (2,) + unit[:j])
+        for j in range(bits)
+    ]
+    flat = (np.zeros(unit, np.uint64), np.full(unit, ones, np.uint64))
     for chunk in range(1 << (high - bits)):
         yield low + [flat[chunk >> (j - bits) & 1] for j in range(bits, high)]
 
@@ -114,9 +124,9 @@ class _Program:
         return [[values[s] for s in outs] for outs in self.outputs]
 
 
-def _tally(f: list, fp: list, signed: bool) -> tuple[int, int, int]:
-    """(largest, sum, nonzero count) of |F - F'| over the lanes of two
-    m-bit output words.
+def _tally(f: list, fp: list, signed: bool) -> tuple[list, int, int]:
+    """(magnitude planes, sum, nonzero count) of |F - F'| over the lanes
+    of two m-bit output words.
 
     A ripple borrow forms d = F - F' over m + 1 planes, each word extended
     by its sign plane if signed and by zero if not; the borrow out of a
@@ -126,7 +136,7 @@ def _tally(f: list, fp: list, signed: bool) -> tuple[int, int, int]:
     d, and |F - F'| < 2^m, so m planes hold it; each plane of d is
     dropped once its magnitude plane is formed.
     """
-    zero = _flat(len(f[0]), 0)
+    zero = np.zeros((1,) * np.ndim(f[0]), np.uint64)
     diff = borrow = x = zero
     d = []
     for a, b in zip(f, fp):
@@ -148,11 +158,14 @@ def _tally(f: list, fp: list, signed: bool) -> tuple[int, int, int]:
         mag.append(x ^ carry)
         carry = x & carry
         total += _popcount(mag[-1]) << i
-    return _largest(mag), total, _popcount(diff)
+    return mag, total, _popcount(diff)
 
 
 def _popcount(plane: np.ndarray) -> int:
-    return int(np.bitwise_count(plane).sum())
+    """Set bits of a plane over its chunk: a plane with k axes of length 1
+    stands for 2^k words per word it holds (:func:`_chunk_inputs`)."""
+    k = np.ndim(plane) - (np.size(plane).bit_length() - 1)
+    return int(np.bitwise_count(plane).sum()) << k
 
 
 def _largest(planes: list) -> int:
@@ -173,14 +186,15 @@ def enumerate_metrics(f: Circuit, fp: Circuit) -> tuple[int, Fraction, Fraction]
     program = _Program(f, fp)
     wce = abs_sum = diff_count = 0
     for planes in _chunk_inputs(n):
-        # ``outputs`` holds a chunk's output planes until the next chunk's
-        # replace them.  Were every plane freed at a chunk's end, the
-        # allocator could hand that memory back to the system and the next
-        # chunk would fault it in again: a 26-input rca pair took about 560
-        # page faults per chunk that way, against about 14.
+        # ``outputs`` and ``mag`` hold a chunk's output and magnitude planes
+        # until the next chunk's replace them.  Were they freed at a chunk's
+        # end, the allocator could hand that memory back to the system and
+        # the next chunk would fault it in again: 28-input pairs of 4-edit
+        # adder mutants took about 400 page faults per chunk with only
+        # ``outputs`` held, against about 100 with both, and ran 20 % slower.
         outputs = program.run(planes)
-        largest, chunk_sum, chunk_diff = _tally(*outputs, f.signed)
-        wce = max(wce, largest)
+        mag, chunk_sum, chunk_diff = _tally(*outputs, f.signed)
+        wce = max(wce, _largest(mag))
         abs_sum += chunk_sum
         diff_count += chunk_diff
     # Below 6 inputs the one word holds each of the 2^n rows 2^(6 - n)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from axbdd import (
@@ -25,7 +26,7 @@ from axbdd import (
 )
 import axbdd.oracle as oracle_mod
 from axbdd.circuit import GATES
-from axbdd.oracle import _chunk_inputs, _Program
+from axbdd.oracle import _chunk_inputs, _popcount, _Program
 
 from conftest import (
     HALF_ADDER_TEXT,
@@ -58,12 +59,21 @@ def test_simulate_half_adder():
     assert int_value(out) == 2
 
 
+def chunk_words(plane, n):
+    """The words of one chunk plane of an ``n``-input enumeration, in
+    order: the plane broadcast to the chunk's full word count."""
+    bits = min(oracle_mod._CHUNK_BITS, max(0, n - 6))
+    assert np.ndim(plane) == bits
+    return [int(w) for w in np.broadcast_to(plane, (2,) * bits).reshape(-1)]
+
+
 def check_rows(c, table):
     """Each row's output by simulate on 0/1 ints, by the oracle's program
     on one full uint64 word (lane k is row k mod 2^n, so all 64 lanes are
     checked), and by the compiled BDD."""
     n = c.input_count
     ((plane,),) = _Program(c).run(next(_chunk_inputs(n)))
+    (word,) = chunk_words(plane, n)
     m = BddManager(n)
     (bit,) = compile_circuit(m, c).bits
     for bits, expected in table.items():
@@ -71,7 +81,7 @@ def check_rows(c, table):
         assert m.evaluate(bit, bits) == expected, bits
     for k in range(64):
         row = tuple(k >> i & 1 for i in range(n))
-        assert int(plane[0]) >> k & 1 == table[row], (k, row)
+        assert word >> k & 1 == table[row], (k, row)
 
 
 @pytest.mark.parametrize(
@@ -301,6 +311,29 @@ def test_active_gate_count():
     assert c.active_gate_count() == 1
 
 
+@pytest.mark.parametrize("kind", ["rca", "cla", "cska"])
+@pytest.mark.parametrize("signed", [False, True])
+def test_active_gate_count_matches_a_dfs_from_the_outputs(kind, signed):
+    def dfs(c):
+        produced = {g.out: g for g in c.gates}
+        live, stack = set(), [w for w in c.outputs if w in produced]
+        while stack:
+            w = stack.pop()
+            if w not in live:
+                live.add(w)
+                stack.extend(v for v in produced[w].inputs if v in produced)
+        return len(live)
+
+    rng = random.Random(f"active:{kind}:{signed}")
+    for bits in (4, 8, 12, 16):
+        golden = gen_adder(kind, bits, signed)
+        assert golden.active_gate_count() == dfs(golden) == golden.gate_count()
+        for edits in range(1, 7):
+            for _ in range(5):
+                mutant = mutate(golden, rng.getrandbits(64), edits)
+                assert mutant.active_gate_count() == dfs(mutant), (bits, edits)
+
+
 # -- oracle ------------------------------------------------------------------
 
 
@@ -371,6 +404,14 @@ def test_oracle_limit():
         oracle_metrics(c, c, limit=25)
 
 
+@pytest.mark.parametrize("limit", [None, "24", 24.0, True, False, -1])
+def test_oracle_limit_must_be_an_int_at_least_0(identity2, limit):
+    # A bool is an int to Python, but True is no limit of one input.
+    with pytest.raises(ValueError, match="limit") as exc:
+        oracle_metrics(identity2, identity2, limit=limit)
+    assert not isinstance(exc.value, OracleLimitError)
+
+
 def test_oracle_any_output_width():
     # No int64 value is formed, so words past 62 bits are exact too.
     inputs = ("a",)
@@ -429,12 +470,31 @@ def test_chunk_inputs_are_the_assignment_bits(monkeypatch, chunk_bits):
         assert all(len(planes) == n for planes in chunks)
         words = max(1, (1 << n) >> 6)
         for i in range(n):
-            plane = [int(word) for planes in chunks for word in planes[i]]
+            plane = [w for planes in chunks for w in chunk_words(planes[i], n)]
             expected = [
                 sum((64 * w + k >> i & 1) << k for k in range(64))
                 for w in range(words)
             ]
             assert plane == expected, (n, i)
+
+
+@pytest.mark.parametrize("chunk_bits", [None, 10])
+def test_oracle_planes_span_only_their_support(monkeypatch, chunk_bits):
+    # Sum bit i of an interleaved rca reads inputs 0 .. 2i + 1, of which
+    # 6 .. 2i + 1 are word bits, so its plane holds 2^max(0, 2i - 4) words,
+    # at most the chunk's; the carry out reads all 20 inputs.
+    if chunk_bits is not None:
+        monkeypatch.setattr(oracle_mod, "_CHUNK_BITS", chunk_bits)
+    bits = oracle_mod._CHUNK_BITS
+    inputs = next(_chunk_inputs(20))
+    assert max(np.size(p) for p in inputs) == 2
+    (outputs,) = _Program(gen_adder("rca", 10, False)).run(inputs)
+    sizes = [np.size(p) for p in outputs]
+    assert sizes == [min(1 << max(0, 2 * i - 4), 1 << bits) for i in range(11)]
+    # A plane with k axes of length 1 counts 2^k times, as if broadcast.
+    for plane in inputs + outputs:
+        full = np.broadcast_to(plane, (2,) * bits)
+        assert _popcount(plane) == int(np.bitwise_count(full).sum())
 
 
 def test_oracle_shares_every_gate_of_a_renamed_copy():
