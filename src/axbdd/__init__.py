@@ -25,6 +25,7 @@ from .circuit import (
     parse,
     parse_file,
     simulate,
+    simulate_lanes,
 )
 from .metrics import (
     ALGORITHMS,
@@ -102,6 +103,7 @@ __all__ = [
     "run_corpus",
     "run_search",
     "simulate",
+    "simulate_lanes",
     "subtract",
     "summarize",
     "wce_baseline",

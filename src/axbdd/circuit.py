@@ -17,11 +17,13 @@ once, token shape, ``.inputs`` before gates) and :class:`Circuit` the
 wires (arity, definition order, duplicates, outputs); a parse error
 names its line wherever it has one.
 
-Both referees, :func:`simulate` on 0/1 ints and the enumeration oracle
-of :mod:`axbdd.oracle` on bit planes, evaluate gates through the one
-table :data:`GATES`.  The BDD compiler in :mod:`axbdd.bitvec` codes the
-same gates as truth tables of its own, so a wrong entry on either side
-shows up as a mismatch between the BDD and the referees.  This module
+Both referees, :func:`simulate_lanes` on Python ints that pack one
+assignment per bit (:func:`simulate` is its one-lane call) and the
+enumeration oracle of :mod:`axbdd.oracle` on numpy bit planes, evaluate
+gates through the one table :data:`GATES`.  The BDD compiler in
+:mod:`axbdd.bitvec` codes the same gates as truth tables of its own, so
+a wrong entry on either side shows up as a mismatch between the BDD and
+the referees.  This module
 imports nothing of the BDD side, and no numpy.
 """
 
@@ -31,11 +33,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 #: Every gate operation: name -> (input count, evaluator).  An evaluator
-#: is a bitwise form of its two operands, right on 0/1 Python ints (in
-#: bit 0: ints are two's complement, so ``~`` keeps it) and on numpy
-#: ``uint64`` planes (in every bit).  A unary gate gets its input twice, a
-#: constant the circuit's first input twice.  The order is the order
-#: mutations draw in.
+#: is a bitwise form of its two operands, so it is right in every bit of
+#: a Python int (ints are two's complement, so ``~`` sets every bit above
+#: the operands' and a mask clears them) and of a numpy ``uint64`` plane.
+#: A unary gate gets its input twice, a constant the circuit's first
+#: input twice.  The order is the order mutations draw in.
 GATES = {
     "CONST0": (0, lambda a, b: a ^ a),
     "CONST1": (0, lambda a, b: ~(a ^ a)),
@@ -152,19 +154,26 @@ class Circuit:
     def gate_count(self) -> int:
         return len(self.gates)
 
-    def active_gate_count(self) -> int:
-        """Gates lying on some path to an output.
+    def active_gates(self) -> tuple[Gate, ...]:
+        """The gates lying on some path to an output, in circuit order.
 
         Gates are in topological order, so one scan from the last gate
         back sees every reader of a wire before the gate that drives it.
+        Two circuits with the same outputs and the same active gates
+        compute the same function.
         """
         live = set(self.outputs)
-        count = 0
+        cone = []
         for g in reversed(self.gates):
             if g.out in live:
-                count += 1
+                cone.append(g)
                 live.update(g.inputs)
-        return count
+        cone.reverse()
+        return tuple(cone)
+
+    def active_gate_count(self) -> int:
+        """Gates lying on some path to an output."""
+        return len(self.active_gates())
 
 
 def parse(text: str) -> Circuit:
@@ -269,12 +278,29 @@ def simulate(c: Circuit, assignment) -> OutputWord:
         raise ValueError(
             f"assignment has {len(assignment)} bits, circuit has {c.input_count} inputs"
         )
-    values = dict(zip(c.inputs, (int(bool(v)) for v in assignment)))
+    bits = simulate_lanes(c, [int(bool(v)) for v in assignment], 1)
+    return OutputWord(tuple(bits), c.signed)
+
+
+def simulate_lanes(c: Circuit, planes, lanes: int) -> list[int]:
+    """Evaluate ``lanes`` input assignments at once, gate by gate.
+
+    ``planes`` holds one Python int per input, whose bit k is that
+    input's value in assignment k.  Returns one int per output, least
+    significant first, with bit k its value in assignment k and every
+    bit from ``lanes`` up cleared.
+    """
+    if len(planes) != c.input_count:
+        raise ValueError(
+            f"{len(planes)} input planes, circuit has {c.input_count} inputs"
+        )
+    values = dict(zip(c.inputs, planes))
     first = c.inputs[:1]
     for g in c.gates:
         ins = g.inputs or first
         values[g.out] = GATES[g.op][1](values[ins[0]], values[ins[-1]])
-    return OutputWord(tuple(values[w] & 1 for w in c.outputs), c.signed)
+    mask = (1 << lanes) - 1
+    return [values[w] & mask for w in c.outputs]
 
 
 def bits_to_int(bits, signed: bool) -> int:

@@ -218,7 +218,8 @@ def cmd_search(args) -> int:
     print(
         f"best: {last.best_size} active gates (seed "
         f"{seed_circuit.active_gate_count()}), {args.metric} = {err}, "
-        f"{last.evals} evaluations ({last.scored} scored, {last.rejected} rejected)",
+        f"{last.evals} evaluations ({last.scored} scored, {last.rejected} rejected, "
+        f"{last.refuted} of them by simulation)",
         file=sys.stderr,
     )
     return EXIT_OK

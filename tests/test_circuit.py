@@ -23,6 +23,7 @@ from axbdd import (
     oracle_metrics,
     parse,
     simulate,
+    simulate_lanes,
 )
 import axbdd.oracle as oracle_mod
 from axbdd.circuit import GATES
@@ -143,6 +144,27 @@ def test_constant_fed_gate_semantics(op, ins, table):
 def test_simulate_length_mismatch(identity2):
     with pytest.raises(ValueError):
         simulate(identity2, (1,))
+    with pytest.raises(ValueError):
+        simulate_lanes(identity2, [1], 1)
+
+
+def test_simulate_lanes_equals_simulate_lane_by_lane():
+    rng = random.Random(38)
+    circuits = [random_netlist(rng, f"r{i}", ("x", "y", "z"), 3, i % 2 == 0)
+                for i in range(20)]
+    circuits += [mutate(gen_adder(kind, 4, signed), rng.getrandbits(64), edits)
+                 for kind in ("rca", "cla", "cska") for signed in (False, True)
+                 for edits in (1, 4)]
+    for c in circuits:
+        for lanes in (1, 7, 64, 100):
+            planes = [rng.getrandbits(lanes) for _ in c.inputs]
+            outs = simulate_lanes(c, planes, lanes)
+            assert len(outs) == c.output_count
+            assert all(0 <= word < 1 << lanes for word in outs), (c, lanes)
+            for k in range(lanes):
+                bits = tuple(plane >> k & 1 for plane in planes)
+                lane = tuple(word >> k & 1 for word in outs)
+                assert simulate(c, bits).bits == lane, (c, lanes, k)
 
 
 def test_int_value_examples():

@@ -384,9 +384,10 @@ def test_search_summary_reports_the_logged_counts(tmp_path, capsys):
     # Some candidates are skipped and some scored ones are over tau.
     assert last["evals"] > last["scored"] > last["rejected"] > 0
     summary = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last["rejected"] >= last["refuted"] > 0
     assert summary.endswith(
         f"{last['evals']} evaluations ({last['scored']} scored, "
-        f"{last['rejected']} rejected)"
+        f"{last['rejected']} rejected, {last['refuted']} of them by simulation)"
     )
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from axbdd import InterfaceMismatchError
 from axbdd import SearchConfig, gen_adder, mutate, oracle_metrics, range_threshold, run_search
-from axbdd import metrics, search
+from axbdd import bits_to_int, evaluate_error, metrics, search
 from axbdd.search import write_history
 
 
@@ -90,7 +90,7 @@ def test_zero_seconds_stops_after_generation_zero():
     assert strip_timing(history) == [
         {"generation": 0, "best_size": seed.active_gate_count(),
          "best_error_numerator": 0, "best_error_denominator_exp": 0, "evals": 0,
-         "scored": 0, "rejected": 0}
+         "scored": 0, "rejected": 0, "refuted": 0}
     ]
 
 
@@ -191,6 +191,7 @@ def test_write_history_json_lines(tmp_path):
         "evals",
         "scored",
         "rejected",
+        "refuted",
         "elapsed_ns",
     }
 
@@ -261,7 +262,10 @@ def limited_case(metric, algorithm, resume=False, node_limit=None):
 )
 def test_limit_keeps_the_trajectory(cfg, resume, node_limit, monkeypatch):
     # Scoring with the threshold as the limit rejects over-threshold
-    # candidates early, and must change nothing else in the run.
+    # candidates early, and must change nothing else in the run.  No
+    # candidate is refuted by simulation here, so that the WCE rejections
+    # reach the limit too.
+    monkeypatch.setattr(search, "_over_in_some_lane", lambda *args: False)
     seed = gen_adder("rca", 5, False)
     start = None
     if resume:
@@ -353,16 +357,16 @@ def test_search_scores_exactly_the_candidates_that_can_win(
                                                  max_generations=40, seed=2))
     expected_best, expected = all_scoring_search(seed, cfg, start_from=start)
 
-    # Record each candidate as mutate makes it, each circuit as it is
-    # compiled, and whether each score, of the circuit compiled just
-    # before it, came out over the threshold.
+    # Record each candidate with its parent as mutate makes it, each
+    # circuit as it is compiled, and whether each BDD score, of the
+    # circuit compiled just before it, came out over the threshold.
     children, compiled, over = [], [], {}
     real_mutate, real_compile, real_compute = (
         search.mutate, search.compile_circuit, search.metrics.compute)
 
     def recording_mutate(parent, *args):
         child = real_mutate(parent, *args)
-        children.append((parent.active_gate_count(), child))
+        children.append((parent, child))
         return child
 
     def recording_compile(manager, circuit):
@@ -382,26 +386,132 @@ def test_search_scores_exactly_the_candidates_that_can_win(
     best, history = run_search(seed, cfg, start_from=start)
 
     assert best == expected_best
-    assert [{k: v for k, v in r.items() if k not in ("scored", "rejected")}
+    assert [{k: v for k, v in r.items() if k not in ("scored", "rejected", "refuted")}
             for r in strip_timing(history)] == expected
     if node_limit is not None:
         assert sum(c is seed for c in compiled) > 1  # the golden was recompiled
 
-    # A child is scored exactly when its gate count could still win: no
-    # larger than its parent and smaller than every earlier sibling that
-    # came out within the threshold.
+    # A child's error is decided exactly when its gate count could still
+    # win: no larger than its parent and smaller than every earlier sibling
+    # that came out within the threshold.  A neutral child, whose active
+    # gates are its parent's, takes the parent's error unscored; a WCE
+    # child that no BDD scores was refuted by simulation, and must be over
+    # the threshold by the oracle.
+    def oracle_over(child):
+        wce, mae, _ = oracle_metrics(seed, child)
+        return (wce if cfg.metric == "wce" else mae) > cfg.threshold
+
     assert len(children) == history[-1].evals
-    rejected = 0
+    scored = rejected = refuted = neutral = 0
     for first in range(0, len(children), cfg.offspring):
         best_within = math.inf
-        for parent_size, child in children[first:first + cfg.offspring]:
+        for parent, child in children[first:first + cfg.offspring]:
             size = child.active_gate_count()
-            can_win = size <= parent_size and size < best_within
-            assert (id(child) in over) == can_win
-            if can_win:
-                rejected += over[id(child)]
-                if not over[id(child)]:
-                    best_within = size
-    scored = len(over) - (start is not None)
-    assert (history[-1].scored, history[-1].rejected) == (scored, rejected)
+            if size > parent.active_gate_count() or size >= best_within:
+                assert id(child) not in over
+                continue
+            scored += 1
+            is_over = oracle_over(child)
+            rejected += is_over
+            if child.active_gates() == parent.active_gates():
+                assert id(child) not in over and not is_over
+                neutral += 1
+            elif id(child) in over:
+                assert over[id(child)] == is_over
+            else:
+                assert cfg.metric == "wce" and is_over
+                refuted += 1
+            if not is_over:
+                best_within = size
+    assert (history[-1].scored, history[-1].rejected, history[-1].refuted) == (
+        scored, rejected, refuted)
     assert 0 < rejected < scored < len(children)
+    assert neutral > 0
+    assert (refuted > 0) == (cfg.metric == "wce")
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+def test_lane_comparison_matches_a_per_lane_brute_force(signed):
+    # |F - F'| > bound in some lane, against each lane's integers.
+    rng = random.Random(38)
+    for m in (1, 2, 3, 5, 8):
+        for bound in (0, 1, (1 << m) - 2, (1 << m) - 1, 1 << m, (1 << m) + 3, 3 << m):
+            for lanes in (1, 3, 64):
+                f = [rng.getrandbits(lanes) for _ in range(m)]
+                fp = [rng.getrandbits(lanes) for _ in range(m)]
+                gaps = [abs(bits_to_int([w >> k & 1 for w in f], signed)
+                            - bits_to_int([w >> k & 1 for w in fp], signed))
+                        for k in range(lanes)]
+                assert search._over_in_some_lane(f, fp, signed, bound) == (
+                    max(gaps) > bound), (m, bound, lanes)
+                for k in range(lanes):
+                    lane_f = [w >> k & 1 for w in f]
+                    lane_fp = [w >> k & 1 for w in fp]
+                    assert search._over_in_some_lane(lane_f, lane_fp, signed, bound) == (
+                        gaps[k] > bound), (m, bound, lanes, k)
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+@pytest.mark.parametrize("kind", ["rca", "cla", "cska"])
+def test_every_refuted_child_is_over_the_threshold(kind, signed, monkeypatch):
+    # A child is refuted when the sample comparison after its simulation
+    # says so; the oracle must then put its WCE over the threshold.
+    seed = gen_adder(kind, 8, signed)
+    cfg = SearchConfig(metric="wce", threshold=range_threshold(seed, Fraction(1, 5)),
+                       max_generations=60, seed=5)
+    simulated, refuted = [], []
+    real_simulate, real_over = search.simulate_lanes, search._over_in_some_lane
+
+    def recording_simulate(circuit, *args):
+        simulated.append(circuit)
+        return real_simulate(circuit, *args)
+
+    def recording_over(*args):
+        result = real_over(*args)
+        if result:
+            refuted.append(simulated[-1])
+        return result
+
+    monkeypatch.setattr(search, "simulate_lanes", recording_simulate)
+    monkeypatch.setattr(search, "_over_in_some_lane", recording_over)
+    _, history = run_search(seed, cfg)
+    assert simulated[0] is seed  # the golden circuit, once
+    assert sum(c is seed for c in simulated) == 1
+    assert len(refuted) == history[-1].refuted > 0
+    assert history[-1].refuted <= history[-1].rejected
+    for child in refuted:
+        assert oracle_metrics(seed, child)[0] > cfg.threshold
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [SearchConfig(metric="wce", threshold=6, algorithm="noabs", max_generations=60, seed=4),
+     SearchConfig(metric="mae", threshold=Fraction(3, 4), algorithm="ones",
+                  max_generations=60, seed=7)],
+    ids=["wce", "mae"],
+)
+def test_neutral_children_take_their_parents_error_unscored(cfg, monkeypatch):
+    seed = gen_adder("rca", 5, False)
+    children, compiled = [], set()
+    real_mutate, real_compile = search.mutate, search.compile_circuit
+
+    def recording_mutate(parent, *args):
+        child = real_mutate(parent, *args)
+        children.append((parent, child))
+        return child
+
+    def recording_compile(manager, circuit):
+        compiled.add(id(circuit))
+        return real_compile(manager, circuit)
+
+    monkeypatch.setattr(search, "mutate", recording_mutate)
+    monkeypatch.setattr(search, "compile_circuit", recording_compile)
+    run_search(seed, cfg)
+    neutral = [(p, c) for p, c in children if c.active_gates() == p.active_gates()]
+    assert neutral
+    errors = {}
+    for parent, child in neutral:
+        assert id(child) not in compiled
+        if id(parent) not in errors:
+            errors[id(parent)] = evaluate_error(seed, parent, cfg.metric).value
+        assert evaluate_error(seed, child, cfg.metric).value == errors[id(parent)]
