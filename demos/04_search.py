@@ -5,10 +5,11 @@ circuit whose error, measured exactly against the original seed, stays
 within the bound.  A candidate's gate count is read first, and only one
 that could win (no larger than the parent, smaller than any sibling
 already within the bound) has its error decided: a candidate with its
-parent's active gates takes its parent's error, one that some of 1,024
-fixed random inputs already put over a WCE bound is refuted by
-simulation, and only the rest get a BDD score.  The log counts
-evaluations, scored candidates, rejected ones and refuted ones apart.
+parent's active gates takes its parent's error, one that is provably
+over the bound is refuted before subtract (a WCE one by 1,024 fixed
+random inputs, an MAE one by output-bit counts over input cubes), and
+only the rest are subtracted and scored.  The log counts evaluations,
+scored candidates, rejected ones and refuted ones apart.
 """
 
 from axbdd import SearchConfig, gen_adder, oracle_metrics, run_search
@@ -30,7 +31,7 @@ best, history = run_search(seed, cfg)
 last = history[-1]
 print(f"best: {best.active_gate_count()} active gates after {last.evals} "
       f"evaluations ({last.scored} scored, {last.rejected} over the bound, "
-      f"{last.refuted} of them refuted by simulation)")
+      f"{last.refuted} of them refuted before subtract)")
 assert 0 < last.refuted <= last.rejected
 wce, mae, rate = oracle_metrics(seed, best)
 print(f"oracle check of the result: wce={wce} (bound {cfg.threshold}), "

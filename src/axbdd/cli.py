@@ -219,7 +219,7 @@ def cmd_search(args) -> int:
         f"best: {last.best_size} active gates (seed "
         f"{seed_circuit.active_gate_count()}), {args.metric} = {err}, "
         f"{last.evals} evaluations ({last.scored} scored, {last.rejected} rejected, "
-        f"{last.refuted} of them by simulation)",
+        f"{last.refuted} of them before subtract)",
         file=sys.stderr,
     )
     return EXIT_OK

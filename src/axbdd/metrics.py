@@ -19,18 +19,9 @@ running maximum.  All results are exact: integers for WCE, rationals
 with denominator 2^n for MAE and error rate, stored as numerator / 2^e
 by :func:`exact_fields` and read back by :func:`exact_value`.
 :func:`evaluate_error` runs the whole pipeline and times its phases.
-
-Every WCE and MAE family, and :func:`compute`, takes an optional
-keyword ``limit``: a finite number >= 0, or ``None`` (the default) for
-no limit.  A family returns ``None`` as soon as its running value
-proves that the error is above ``limit``, and otherwise exactly the
-:class:`ErrorValue` it returns without one, witness included; no
-partial or lower-bound value ever leaves it.  This works because every
-running value only grows: a WCE search sets bits from the most
-significant end, and an MAE sum adds non-negative per-bit terms, most
-significant first.  A threshold-constrained search uses it to reject a
-candidate over its bound without computing the exact error.  Each
-family body holds only its algorithm; this contract is written once.
+Every family computes its one exact value; a search that only needs to
+know whether the error is within a bound decides that in
+:mod:`axbdd.search`, before subtract wherever that is exact.
 """
 
 from __future__ import annotations
@@ -117,50 +108,28 @@ def _finite_non_negative(x) -> bool:
     return not isinstance(x, bool) and isinstance(x, Real) and 0 <= x < math.inf
 
 
-def _scaled_limit(limit, scale: int = 1) -> int | None:
-    """``floor(limit * scale)``, the greatest integer total within ``limit``
-    on a scale of ``scale`` per unit; ``None`` for no limit."""
-    if limit is None:
-        return None
-    if not _finite_non_negative(limit):
-        raise ValueError(f"limit must be None or a finite number >= 0, got {limit!r}")
-    return math.floor(Fraction(limit) * scale)
+def _weighted_count(count, bits) -> int:
+    """The sum of ``count(bits[i]) << i`` over every bit of a word."""
+    return sum(count(bit) << i for i, bit in enumerate(bits))
 
 
-def _weighted_count(count, bits, total: int, stop: int | None) -> int | None:
-    """``total`` plus ``count(bits[i]) << i`` over every bit, most significant
-    first, or ``None`` once the sum passes ``stop``.  Each count is >= 0, so
-    the sum only grows and every count after that point is skipped."""
-    for i in range(len(bits) - 1, -1, -1):
-        if stop is not None and total > stop:
-            return None
-        total += count(bits[i]) << i
-    return None if stop is not None and total > stop else total
-
-
-def _preamble(eps: BddWord, limit, metric: str) -> tuple[BddManager, int | None]:
-    """Check the signed difference word, then read ``limit`` as the integer
-    stop on the metric's scale: 1 per unit for WCE, 2^n for an MAE total."""
+def _check_difference(eps: BddWord) -> BddManager:
+    """The manager of the signed difference word, which is checked first."""
     if not eps.signed:
         raise ValueError("expected the signed difference word from subtract()")
     if eps.width < 2:
         raise ValueError("difference word must carry a sign bit above the magnitude")
-    manager = eps.manager
-    return manager, _scaled_limit(limit, 1 if metric == WCE else 1 << manager.var_count)
+    return eps.manager
 
 
-def _wce_result(eps: BddWord, algorithm: str, found) -> ErrorValue | None:
-    """The WCE of a family's ``(value, witness)``; ``None`` passes on."""
-    if found is None:
-        return None
+def _wce_result(eps: BddWord, algorithm: str, found) -> ErrorValue:
+    """The WCE of a family's ``(value, witness)``."""
     wce, mu = found
     return ErrorValue(WCE, algorithm, wce, eps.manager.var_count, eps.width - 1, mu)
 
 
-def _mae_result(eps: BddWord, algorithm: str, total: int | None) -> ErrorValue | None:
-    """The MAE of a family's integer total over 2^n; ``None`` passes on."""
-    if total is None:
-        return None
+def _mae_result(eps: BddWord, algorithm: str, total: int) -> ErrorValue:
+    """The MAE of a family's integer total over 2^n."""
     n = eps.manager.var_count
     return ErrorValue(MAE, algorithm, Fraction(total, 1 << n), n, eps.width - 1)
 
@@ -182,115 +151,92 @@ def _absolute(eps: BddWord) -> BddWord:
     return add(_masked_magnitude(eps), BddWord((eps.sign_bit,), signed=False))
 
 
-def _search_max(manager, bits, mu, invert=False, stop=None):
+def _search_max(manager, bits, mu, invert=False):
     """Greatest reachable value of a bit vector restricted to ``mu``.
 
     Scans from the most significant bit; whenever the running witness
     still admits a set bit (cleared bit if ``invert``), the bit joins
     the maximum and the witness is narrowed.  Afterwards every
     satisfying assignment of the witness attains the returned value.
-    The running maximum only grows, so once it passes ``stop`` the scan
-    ends and returns ``None``.
     """
-    if stop is not None and stop < 0:
-        return None
     best = 0
     op = "andnot" if invert else "and"
     for i in range(len(bits) - 1, -1, -1):
         narrowed = manager.apply(op, mu, bits[i])
         if manager.is_sat(narrowed):
             best += 1 << i
-            if stop is not None and best > stop:
-                return None
             mu = narrowed
     return best, mu
 
 
-def wce_baseline(eps: BddWord, *, limit=None) -> ErrorValue | None:
+def wce_baseline(eps: BddWord) -> ErrorValue:
     """Worst-case error via the full two's-complement absolute value."""
-    manager, stop = _preamble(eps, limit, WCE)
-    found = _search_max(manager, _absolute(eps).bits, manager.true, stop=stop)
+    manager = _check_difference(eps)
+    found = _search_max(manager, _absolute(eps).bits, manager.true)
     return _wce_result(eps, BASELINE, found)
 
 
-def mae_baseline(eps: BddWord, *, limit=None) -> ErrorValue | None:
+def mae_baseline(eps: BddWord) -> ErrorValue:
     """Mean absolute error as the weighted bit probabilities of |eps|."""
-    manager, stop = _preamble(eps, limit, MAE)
-    total = _weighted_count(manager.sat_count, _absolute(eps).bits, 0, stop)
+    manager = _check_difference(eps)
+    total = _weighted_count(manager.sat_count, _absolute(eps).bits)
     return _mae_result(eps, BASELINE, total)
 
 
-def wce_ones(eps: BddWord, *, limit=None) -> ErrorValue | None:
+def wce_ones(eps: BddWord) -> ErrorValue:
     """Worst-case error with the increment replaced by a +1 correction.
 
     The search runs on the un-incremented masked magnitude; if the
     witness still admits a negative point, the true maximum is one
-    higher and the witness narrows to those points.  Under a limit the
-    scan stops on its own value, and the +1 is checked at the end.
+    higher and the witness narrows to those points.
     """
-    manager, stop = _preamble(eps, limit, WCE)
-    found = _search_max(manager, _masked_magnitude(eps).bits, manager.true, stop=stop)
-    if found is None:
-        return None
-    wce, mu = found
+    manager = _check_difference(eps)
+    wce, mu = _search_max(manager, _masked_magnitude(eps).bits, manager.true)
     negative = manager.apply("and", mu, eps.sign_bit)
     if manager.is_sat(negative):
         wce += 1
         mu = negative
-    if stop is not None and wce > stop:
-        return None
     return _wce_result(eps, ONES, (wce, mu))
 
 
-def mae_ones(eps: BddWord, *, limit=None) -> ErrorValue | None:
+def mae_ones(eps: BddWord) -> ErrorValue:
     """Mean absolute error with the increment folded into one probability.
 
     Every negative point's masked magnitude is short by exactly one, so
     adding the satisfying fraction of the sign bit restores the mean.
     """
-    manager, stop = _preamble(eps, limit, MAE)
-    total = _weighted_count(
-        manager.sat_count,
-        _masked_magnitude(eps).bits,
-        manager.sat_count(eps.sign_bit),
-        stop,
+    manager = _check_difference(eps)
+    total = manager.sat_count(eps.sign_bit) + _weighted_count(
+        manager.sat_count, _masked_magnitude(eps).bits
     )
     return _mae_result(eps, ONES, total)
 
 
-def wce_noabs(eps: BddWord, *, limit=None) -> ErrorValue | None:
+def wce_noabs(eps: BddWord) -> ErrorValue:
     """Worst-case error straight off the signed difference.
 
     Two guided searches: the non-negative branch maximizes the
     difference itself, the negative branch maximizes the inverted bits
     (value ``|eps| - 1``) and gets the two's-complement +1 back.  An
     unsatisfiable branch is skipped entirely; in particular an exact
-    circuit reports 0, the stray +1 never applies.  Under a limit the
-    negative branch stops one lower, for its +1, and is not run at all
-    once the non-negative branch is over.
+    circuit reports 0, the stray +1 never applies.
     """
-    manager, stop = _preamble(eps, limit, WCE)
+    manager = _check_difference(eps)
     sign = eps.sign_bit
     not_sign = manager.not_(sign)
     magnitude_bits = eps.bits[:-1]
     positive = negative = None
     if manager.is_sat(not_sign):
-        positive = _search_max(manager, magnitude_bits, not_sign, stop=stop)
-        if positive is None:
-            return None
+        positive = _search_max(manager, magnitude_bits, not_sign)
     if manager.is_sat(sign):
-        found = _search_max(manager, magnitude_bits, sign, invert=True,
-                            stop=None if stop is None else stop - 1)
-        if found is None:
-            return None
-        wce_n, mu_n = found
+        wce_n, mu_n = _search_max(manager, magnitude_bits, sign, invert=True)
         negative = (wce_n + 1, mu_n)
     if negative is None or (positive is not None and negative[0] <= positive[0]):
         return _wce_result(eps, NOABS, positive)
     return _wce_result(eps, NOABS, negative)
 
 
-def mae_noabs(eps: BddWord, *, limit=None) -> ErrorValue | None:
+def mae_noabs(eps: BddWord) -> ErrorValue:
     """Mean absolute error without materializing the absolute value.
 
     Sums the difference bits over the non-negative points and the
@@ -299,15 +245,14 @@ def mae_noabs(eps: BddWord, *, limit=None) -> ErrorValue | None:
     ``s`` adds exactly ``|b & ~s| + |s & ~b| = |b| + |s| - 2|b & s|``:
     one pairwise count per bit, and no BDD is built at all.
     """
-    manager, stop = _preamble(eps, limit, MAE)
+    manager = _check_difference(eps)
     sign = eps.sign_bit
     negatives = manager.sat_count(sign)
 
     def count(bit):
         return manager.sat_count(bit) + negatives - 2 * manager.sat_count_and(bit, sign)
 
-    total = _weighted_count(count, eps.bits[:-1], negatives, stop)
-    return _mae_result(eps, NOABS, total)
+    return _mae_result(eps, NOABS, negatives + _weighted_count(count, eps.bits[:-1]))
 
 
 def error_rate(f_word: BddWord, fp_word: BddWord) -> ErrorValue:
@@ -349,14 +294,9 @@ def _family(metric: str, algorithm: str):
         raise ValueError(f"unknown algorithm {algorithm!r}") from None
 
 
-def compute(
-    eps: BddWord, metric: str, algorithm: str = NOABS, *, limit=None
-) -> ErrorValue | None:
-    """Dispatch one metric/algorithm pair on a difference word.
-
-    ``None`` means the error is above ``limit`` (see the module notes).
-    """
-    return _family(metric, algorithm)(eps, limit=limit)
+def compute(eps: BddWord, metric: str, algorithm: str = NOABS) -> ErrorValue:
+    """Dispatch one metric/algorithm pair on a difference word."""
+    return _family(metric, algorithm)(eps)
 
 
 def evaluate_error(

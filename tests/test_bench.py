@@ -114,7 +114,7 @@ def test_record_result_property():
 def test_per_record_failure_is_captured(monkeypatch):
     import axbdd.metrics as metrics_mod
 
-    def flaky(eps, *, limit=None):
+    def flaky(eps):
         raise RuntimeError("synthetic fault")
 
     monkeypatch.setitem(metrics_mod._FAMILIES, ("wce", "ones"), flaky)

@@ -244,7 +244,7 @@ def test_verify_agreement(pair, capsys):
 def test_verify_detects_corruption(pair, capsys, monkeypatch):
     import axbdd.metrics as metrics_mod
 
-    def wrong(eps, *, limit=None):
+    def wrong(eps):
         real = metrics_mod.wce_baseline(eps)
         return metrics_mod.ErrorValue(
             real.kind, "ones", real.value + 1, real.input_count, real.output_count
@@ -268,7 +268,7 @@ def test_verify_checks_each_wce_witness(pair, capsys, monkeypatch, oracle_bits):
     gap = abs(int_value(simulate(golden, zero)) - int_value(simulate(approx, zero)))
     assert gap != wce
 
-    def blind(eps, *, limit=None):
+    def blind(eps):
         real = metrics_mod.wce_ones(eps)
         return dataclasses.replace(real, witness=eps.manager.true)
 
@@ -387,7 +387,7 @@ def test_search_summary_reports_the_logged_counts(tmp_path, capsys):
     assert last["rejected"] >= last["refuted"] > 0
     assert summary.endswith(
         f"{last['evals']} evaluations ({last['scored']} scored, "
-        f"{last['rejected']} rejected, {last['refuted']} of them by simulation)"
+        f"{last['rejected']} rejected, {last['refuted']} of them before subtract)"
     )
 
 
@@ -530,7 +530,7 @@ def test_bench_command(tmp_path, capsys):
 def test_bench_jsonl_marks_failed_records(tmp_path, capsys, monkeypatch):
     import axbdd.metrics as metrics_mod
 
-    def flaky(eps, *, limit=None):
+    def flaky(eps):
         raise RuntimeError("synthetic fault")
 
     monkeypatch.setitem(metrics_mod._FAMILIES, ("wce", "ones"), flaky)

@@ -23,6 +23,7 @@ from axbdd import (
     mae_noabs,
     mae_ones,
     metrics,
+    search,
 )
 from axbdd.circuit import Circuit, Gate
 from conftest import brute_force_metrics, random_netlist
@@ -338,51 +339,38 @@ def limited_pairs(rng):
                random_netlist(rng, "approx", inputs, m, signed))
 
 
-def test_limited_families_decide_the_bound_and_keep_exact_values():
+def test_families_equal_the_oracle_on_limited_pairs():
     rng = random.Random(12)
-    over = within = 0
     for case, (golden, approx) in enumerate(limited_pairs(rng)):
         wce_o, mae_o, _ = oracle_metrics(golden, approx)
-        manager = BddManager(golden.input_count)
-        eps = difference_word(golden, approx, manager)
-        step = Fraction(1, 1 << golden.input_count)
-        for fns, exact, unit in ((WCE_FNS, wce_o, 1), (MAE_FNS, mae_o, step)):
-            limits = [0, exact - unit, exact, exact + unit,
-                      Fraction(rng.randint(0, 4 * int(exact) + 4), rng.randint(1, 4))]
+        eps = difference_word(golden, approx)
+        for fns, exact in ((WCE_FNS, wce_o), (MAE_FNS, mae_o)):
             for fn in fns:
-                unlimited = fn(eps)
-                assert unlimited.value == exact, (case, fn.__name__)
-                for limit in limits:
-                    if limit < 0:
-                        continue
-                    result = fn(eps, limit=limit)
-                    where = (case, fn.__name__, limit)
-                    if exact > limit:
-                        over += 1
-                        assert result is None, where
-                        assert result != unlimited, where
-                    else:
-                        within += 1
-                        assert result == unlimited, where
-                        assert result.witness is unlimited.witness, where
-                        assert result.value == exact, where
-    assert over > 1000 and within > 1000
+                assert fn(eps).value == exact, (case, fn.__name__)
 
 
-def test_limit_validation(identity2, truncated2):
-    eps = difference_word(identity2, truncated2)
-    for bad in (True, float("nan"), float("inf"), -1, "3"):
-        with pytest.raises(ValueError, match="limit"):
-            compute(eps, "wce", "noabs", limit=bad)
-        with pytest.raises(ValueError, match="limit"):
-            compute(eps, "mae", "baseline", limit=bad)
-        for fn in WCE_FNS + MAE_FNS:
-            with pytest.raises(ValueError, match="limit"):
-                fn(eps, limit=bad)
-    # Any finite real >= 0 is a limit, and compute passes it through.
-    assert compute(eps, "wce", "ones", limit=0) is None
-    assert compute(eps, "wce", "ones", limit=1.0).value == 1
-    assert compute(eps, "mae", "noabs", limit=Fraction(1, 3)) is None
-    assert compute(eps, "mae", "noabs", limit=0.5).value == Fraction(1, 2)
-    with pytest.raises(TypeError):
-        error_rate(eps, eps, limit=1)
+def test_cube_sums_bound_the_mae_total():
+    # Summing d over each cube of the last k variables and adding the
+    # magnitudes gives at most sum |d| = MAE * 2^n, and exactly that once
+    # every cube is a single input (k = n).
+    rng = random.Random(12)
+    signs, exact_cases = set(), 0
+    for case, (golden, approx) in enumerate(limited_pairs(rng)):
+        n = golden.input_count
+        total = oracle_metrics(golden, approx)[1] * (1 << n)
+        manager = BddManager(n)
+        f_word, fp_word = (compile_circuit(manager, c) for c in (golden, approx))
+        for k in sorted({*range(min(4, n) + 1), *([n] if n <= 6 else [])}):
+            cubes = search._cubes(manager, k)
+            assert len(cubes) == 1 << k
+            sums = [search._cube_sums(word, cubes) for word in (f_word, fp_word)]
+            bound = sum(abs(g - c) for g, c in zip(*sums))
+            assert bound <= total, (case, k)
+            # The search refutes exactly the sums over its cap.
+            assert search._over_in_cubes(*sums, bound - 1), (case, k)
+            assert not search._over_in_cubes(*sums, bound), (case, k)
+            if k == n:
+                assert bound == total, case
+                exact_cases += 1
+        signs.add(golden.signed)
+    assert signs == {False, True} and exact_cases == 120

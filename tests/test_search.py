@@ -261,11 +261,10 @@ def limited_case(metric, algorithm, resume=False, node_limit=None):
        limited_case("mae", "ones", node_limit=300)],
 )
 def test_limit_keeps_the_trajectory(cfg, resume, node_limit, monkeypatch):
-    # Scoring with the threshold as the limit rejects over-threshold
-    # candidates early, and must change nothing else in the run.  No
-    # candidate is refuted by simulation here, so that the WCE rejections
-    # reach the limit too.
-    monkeypatch.setattr(search, "_over_in_some_lane", lambda *args: False)
+    # Refuting a candidate before subtract, by simulation for WCE and by
+    # cube counts for MAE, must change nothing in the run but ``refuted``:
+    # with both checks made to refute nothing, every candidate over the
+    # threshold reaches an exact BDD score instead.
     seed = gen_adder("rca", 5, False)
     start = None
     if resume:
@@ -273,28 +272,29 @@ def test_limit_keeps_the_trajectory(cfg, resume, node_limit, monkeypatch):
                                                  max_generations=40, seed=2))
     if node_limit is not None:
         monkeypatch.setattr(search, "NODE_LIMIT", node_limit)
-    compute = search.metrics.compute
-    results, managers = [], []
+    managers = []
+    real_compile = search.compile_circuit
 
-    def recording_compute(eps, *args, **kwargs):
-        result = compute(eps, *args, **kwargs)
-        results.append(result)
-        managers.append(eps.manager)
-        return result
+    def recording_compile(manager, circuit):
+        managers.append(manager)
+        return real_compile(manager, circuit)
 
-    monkeypatch.setattr(search.metrics, "compute", recording_compute)
+    monkeypatch.setattr(search, "compile_circuit", recording_compile)
     best, history = run_search(seed, cfg, start_from=start)
-    assert any(result is None for result in results)
+    assert history[-1].refuted > 0
     if node_limit is not None:
         assert len(set(map(id, managers))) > 1
 
-    def unlimited_compute(*args, limit=None, **kwargs):
-        return compute(*args, **kwargs)
-
-    monkeypatch.setattr(search.metrics, "compute", unlimited_compute)
+    monkeypatch.setattr(search, "_over_in_some_lane", lambda *args: False)
+    monkeypatch.setattr(search, "_over_in_cubes", lambda *args: False)
     expected_best, expected = run_search(seed, cfg, start_from=start)
+    assert expected[-1].refuted == 0
     assert best == expected_best
-    assert strip_timing(history) == strip_timing(expected)
+
+    def without_refuted(h):
+        return [{k: v for k, v in r.items() if k != "refuted"} for r in strip_timing(h)]
+
+    assert without_refuted(history) == without_refuted(expected)
 
 
 def all_scoring_search(seed_circuit, cfg, start_from=None):
@@ -375,7 +375,7 @@ def test_search_scores_exactly_the_candidates_that_can_win(
 
     def recording_compute(*args, **kwargs):
         result = real_compute(*args, **kwargs)
-        over[id(compiled[-1])] = result is None or result.value > cfg.threshold
+        over[id(compiled[-1])] = result.value > cfg.threshold
         return result
 
     monkeypatch.setattr(search, "mutate", recording_mutate)
@@ -394,9 +394,10 @@ def test_search_scores_exactly_the_candidates_that_can_win(
     # A child's error is decided exactly when its gate count could still
     # win: no larger than its parent and smaller than every earlier sibling
     # that came out within the threshold.  A neutral child, whose active
-    # gates are its parent's, takes the parent's error unscored; a WCE
-    # child that no BDD scores was refuted by simulation, and must be over
-    # the threshold by the oracle.
+    # gates are its parent's, takes the parent's error unscored; any other
+    # child that no BDD scores was refuted before subtract (by simulation
+    # for WCE, by cube counts for MAE), and must be over the threshold by
+    # the oracle.
     def oracle_over(child):
         wce, mae, _ = oracle_metrics(seed, child)
         return (wce if cfg.metric == "wce" else mae) > cfg.threshold
@@ -419,15 +420,16 @@ def test_search_scores_exactly_the_candidates_that_can_win(
             elif id(child) in over:
                 assert over[id(child)] == is_over
             else:
-                assert cfg.metric == "wce" and is_over
+                # WCE refutes before compile, MAE after it.
+                assert is_over
+                assert any(c is child for c in compiled) == (cfg.metric == "mae")
                 refuted += 1
             if not is_over:
                 best_within = size
     assert (history[-1].scored, history[-1].rejected, history[-1].refuted) == (
         scored, rejected, refuted)
     assert 0 < rejected < scored < len(children)
-    assert neutral > 0
-    assert (refuted > 0) == (cfg.metric == "wce")
+    assert neutral > 0 and refuted > 0
 
 
 @pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
@@ -481,6 +483,36 @@ def test_every_refuted_child_is_over_the_threshold(kind, signed, monkeypatch):
     assert history[-1].refuted <= history[-1].rejected
     for child in refuted:
         assert oracle_metrics(seed, child)[0] > cfg.threshold
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+@pytest.mark.parametrize("kind", ["rca", "cla", "cska"])
+def test_every_cube_refuted_child_is_over_the_threshold(kind, signed, monkeypatch):
+    # A child is refuted when the cube comparison after its compile says
+    # so; the oracle must then put its MAE over the threshold.
+    seed = gen_adder(kind, 8, signed)
+    cfg = SearchConfig(metric="mae", threshold=range_threshold(seed, Fraction(1, 20)),
+                       max_generations=60, seed=5)
+    compiled, refuted = [], []
+    real_compile, real_over = search.compile_circuit, search._over_in_cubes
+
+    def recording_compile(manager, circuit):
+        compiled.append(circuit)
+        return real_compile(manager, circuit)
+
+    def recording_over(*args):
+        result = real_over(*args)
+        if result:
+            refuted.append(compiled[-1])
+        return result
+
+    monkeypatch.setattr(search, "compile_circuit", recording_compile)
+    monkeypatch.setattr(search, "_over_in_cubes", recording_over)
+    _, history = run_search(seed, cfg)
+    assert len(refuted) == history[-1].refuted > 0
+    assert history[-1].refuted <= history[-1].rejected
+    for child in refuted:
+        assert oracle_metrics(seed, child)[1] > cfg.threshold
 
 
 @pytest.mark.parametrize(
